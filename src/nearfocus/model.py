@@ -105,14 +105,26 @@ def element_positions(spec: ArraySpec) -> np.ndarray:
     return centered_positions(spec.num_elements, spec.spacing)
 
 
-def pattern_factor(pattern, x_source, x_field, z, wave: Wave | None = None):
+def _has_rolloff(pattern) -> bool:
+    """Whether ``pattern`` applies the broadside cos^2 roll-off; unknown patterns raise."""
+    if pattern in (ElementPattern.ISOTROPIC, ElementPattern.VERTICAL_DIPOLE):
+        return False
+    if pattern in (ElementPattern.HORIZONTAL_DIPOLE, ElementPattern.PATCH):
+        return True
+    raise ValueError(f"unknown element pattern {pattern!r}")
+
+
+def _cos2(dx, z):
+    """Broadside roll-off cos^2(theta) = z^2 / (z^2 + dx^2)."""
+    return z * z / (z * z + dx * dx)
+
+
+def pattern_factor(pattern, x_source, x_field, z):
     """Directivity amplitude of an element at ``x_source`` seen from ``(x_field, z)``.
 
     Isotropic and vertical-dipole variants radiate uniformly in the array
     plane and return 1. Horizontal-dipole and patch variants share the
-    broadside cos^2(theta) = z^2 / (z^2 + dx^2) roll-off. The ``wave``
-    argument is accepted for interface stability; the current variants are
-    frequency independent.
+    broadside cos^2(theta) = z^2 / (z^2 + dx^2) roll-off.
 
     Inputs broadcast; scalar inputs return a float.
     """
@@ -120,13 +132,8 @@ def pattern_factor(pattern, x_source, x_field, z, wave: Wave | None = None):
     zz = np.asarray(z, dtype=float)
     if np.any(zz <= 0.0):
         raise ValueError("field height z must be positive")
-    cos2 = zz * zz / (zz * zz + dx * dx)
-    if pattern in (ElementPattern.ISOTROPIC, ElementPattern.VERTICAL_DIPOLE):
-        out = np.ones_like(cos2)
-    elif pattern in (ElementPattern.HORIZONTAL_DIPOLE, ElementPattern.PATCH):
-        out = cos2
-    else:
-        raise ValueError(f"unknown element pattern {pattern!r}")
+    cos2 = _cos2(dx, zz)
+    out = cos2 if _has_rolloff(pattern) else np.ones_like(cos2)
     if out.ndim == 0:
         return float(out)
     return out

@@ -21,6 +21,7 @@ from nearfocus import (
     pattern_factor,
     wave_from_frequency,
 )
+from nearfocus import field
 
 from _oracles import field_magnitude
 
@@ -82,6 +83,12 @@ class TestConjugateExcitation:
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
         with pytest.raises(ValueError):
             conjugate_excitation(tx, 0.0, 0.0)
+
+    @pytest.mark.parametrize("focus", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+    def test_rejects_non_finite_focus(self, wave6, focus):
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
+        with pytest.raises(ValueError, match="finite"):
+            conjugate_excitation(tx, *focus)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -145,8 +152,9 @@ class TestFieldAt:
 
     def test_rejects_wrong_excitation_length(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=8, spacing=0.03)
-        with pytest.raises(ValueError):
-            field_at(tx, np.ones(7, dtype=complex), 0.0, 1.0)
+        for shape in [(7,), (2, 7), (2, 2, 8)]:
+            with pytest.raises(ValueError, match="expected"):
+                field_at(tx, np.ones(shape, dtype=complex), 0.0, 1.0)
 
     def test_rejects_nonpositive_height(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
@@ -157,6 +165,17 @@ class TestFieldAt:
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
         with pytest.raises(SingularDistanceError, match="field_at"):
             field_at(tx, np.ones(4, dtype=complex), tx.spacing * 1.5, 1e-7)
+
+    def test_guard_index_is_in_caller_shape_across_blocks(self, wave6, monkeypatch):
+        # three points per block: point (3, 2) is flat point 17, in the sixth block
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
+        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 3 * 16 * 4)
+        xs = np.linspace(-0.2, 0.2, 5) * np.ones((4, 1))
+        zs = np.ones((4, 5))
+        xs[3, 2] = element_positions(tx)[1]
+        zs[3, 2] = 1e-7
+        with pytest.raises(SingularDistanceError, match=r"field_at: .* at index \(3, 2, 1\)"):
+            field_at(tx, np.ones(4, dtype=complex), xs, zs)
 
     def test_focus_dominates_strip(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=40, spacing=2.27 * wave6.wavelength)
@@ -220,3 +239,37 @@ class TestChannelMatrix:
         scen = FocusScenario(tx=tx, focal_distance=1e-7)
         with pytest.raises(SingularDistanceError, match="channel_matrix"):
             channel_matrix(scen)
+
+
+class TestDeterminism:
+    """Stacking excitations and batching field points do not change results."""
+
+    BUDGETS = {
+        "one_row": lambda n: 16 * n,
+        "seven_rows": lambda n: 7 * 16 * n,
+        "one_block": lambda n: 2**40,
+    }
+
+    @staticmethod
+    def evaluate(tx, monkeypatch, budget):
+        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", budget)
+        lam = tx.wave.wavelength
+        z0 = 30.0 * lam
+        weights = np.stack([conjugate_excitation(tx, xt, z0) for xt in (-2.0 * lam, 0.0, 3.5 * lam)])
+        xs = np.linspace(-0.6, 0.6, 61) * tx.aperture
+        zs = np.linspace(0.5, 1.5, 3)[:, None] * z0
+        scen = FocusScenario(tx=tx, focal_distance=z0, rx_num=23, rx_spacing=0.7 * lam)
+        return weights, xs, zs, field_at(tx, weights, xs, zs), channel_matrix(scen).entries
+
+    @pytest.mark.parametrize("pattern", list(ElementPattern))
+    def test_results_identical_across_blocks_stacking_and_reruns(self, wave6, monkeypatch, pattern):
+        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * wave6.wavelength, pattern=pattern)
+        runs = {name: self.evaluate(tx, monkeypatch, size(13)) for name, size in self.BUDGETS.items()}
+        weights, xs, zs, stacked, entries = runs["one_block"]
+        assert stacked.shape == (3, 3, 61)
+        for name, (_, _, _, other, other_entries) in runs.items():
+            assert np.array_equal(other, stacked), name
+            assert np.array_equal(other_entries, entries), name
+        for t, w in enumerate(weights):
+            assert np.array_equal(field_at(tx, w, xs, zs), stacked[t])
+        assert np.array_equal(self.evaluate(tx, monkeypatch, 2**40)[3], stacked)

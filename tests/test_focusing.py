@@ -236,6 +236,29 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_focal_points(scen, [0.0], strip_resolution=4)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_targets(self, wave6, bad):
+        tx = make_tx(wave6, 0.5)
+        scen = FocusScenario(tx=tx, focal_distance=200.0 * wave6.wavelength)
+        with pytest.raises(ValueError, match="finite"):
+            scan_focal_points(scen, [0.0, bad])
+
+    def test_peaks_match_per_target_field(self, wave6):
+        # the scan contracts all targets against one kernel; each row must be
+        # the field of that target's excitation alone
+        lam = wave6.wavelength
+        tx = make_tx(wave6, 2.27)
+        z0 = 200.0 * lam
+        scen = FocusScenario(tx=tx, focal_distance=z0)
+        targets = [-6.0 * lam, 0.0, 11.0 * lam]
+        report = scan_focal_points(scen, targets)
+        half = 0.5 * scen.strip_extent
+        n_side = math.ceil(half * 16 / lam)
+        xs = np.linspace(-half, half, 2 * n_side + 1)
+        for xt, peak in zip(targets, report.achieved_peaks):
+            mag = np.abs(field_at(tx, conjugate_excitation(tx, xt, z0), xs, z0))
+            assert peak == _refine_max(xs, mag, int(np.argmax(mag)), log_domain=True)
+
     def test_lobe_levels_are_relative_to_each_target_peak(self, wave6):
         lam = wave6.wavelength
         tx = make_tx(wave6, 2.27)
