@@ -1,9 +1,16 @@
-"""Experiment configuration: YAML parsing with unit resolution and line-aware errors."""
+"""Experiment configuration: YAML parsing with unit resolution and line-aware errors.
+
+Every config key is declared once, as schema metadata on the matching
+:class:`ExperimentConfig` field; that schema drives the allowed and required
+keys, the defaults, the per-key parse and :func:`serialize_config`.
+"""
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
+from itertools import groupby
 
 import yaml
 
@@ -14,7 +21,11 @@ EXPERIMENTS = ("dof-sweep", "gain-profile", "scan", "axial", "optimal-spacing")
 _FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}
 _WAVELENGTH_UNITS = ("lambda", "wavelength", "wavelengths", "wl")
+# quantity kind -> (base unit of bare numbers, accepted unit spellings)
+_UNIT_HINTS = {"frequency": ("Hz", "Hz, kHz, MHz, or GHz"), "length": ("meters", "m, cm, mm, km, or lambda")}
 _QUANTITY_RE = re.compile(r"^\s*([+-]?[\d.]+(?:[eE][+-]?\d+)?)\s*([a-zA-Z]+)\s*$")
+
+_REQUIRED = object()
 
 
 class ConfigError(ValueError):
@@ -26,31 +37,61 @@ class ConfigError(ValueError):
         super().__init__(f"{key} (line {line}): {message}")
 
 
+def _key(path: str, kind: str, default=_REQUIRED, *, minimum: int = 1, choices: tuple[str, ...] = ()):
+    """Declare the YAML key of an :class:`ExperimentConfig` field in the field's metadata.
+
+    ``path`` is the key, "section.key" when nested. ``kind`` is one of
+    frequency, length, int, choice, pattern, path or targets. ``default`` is
+    a constant, a function of the fields parsed before it, or ``_REQUIRED``.
+    ``minimum`` bounds an int; ``choices`` lists the values of a choice or
+    pattern, or the keyword that selects the default targets.
+    """
+    section, _, key = path.rpartition(".")
+    return field(metadata={
+        "path": path, "section": section, "key": key, "kind": kind,
+        "default": default, "minimum": minimum, "choices": choices,
+    })
+
+
+def _wavelength(values: dict) -> float:
+    return wave_from_frequency(values["frequency"]).wavelength
+
+
+def _length_units(values: dict) -> dict[str, float]:
+    return {**_LENGTH_UNITS, **dict.fromkeys(_WAVELENGTH_UNITS, _wavelength(values))}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment description; lengths in meters, frequency in hertz."""
 
-    frequency: float
-    num_elements: int
-    spacing: float
-    focal_distance: float
-    pattern: ElementPattern
-    experiment: str | None
-    rx_num: int
-    rx_spacing: float
-    sweep_start: float
-    sweep_stop: float
-    sweep_step: float
-    gain_span: float
-    gain_step: float
-    scan_targets: tuple[float, ...]
-    scan_resolution: int
-    axial_z_min: float
-    axial_z_max: float
-    axial_samples: int
-    output_dir: str
-    output_format: str
-    seed: int | None
+    frequency: float = _key("frequency", "frequency")
+    num_elements: int = _key("num_elements", "int")
+    spacing: float = _key("spacing", "length")
+    focal_distance: float = _key("focal_distance", "length")
+    pattern: ElementPattern = _key(
+        "pattern", "pattern", ElementPattern.ISOTROPIC, choices=tuple(p.value for p in ElementPattern)
+    )
+    experiment: str | None = _key("experiment", "choice", None, choices=EXPERIMENTS)
+    rx_num: int = _key("rx.num_elements", "int", lambda v: v["num_elements"])
+    rx_spacing: float = _key("rx.spacing", "length", lambda v: v["spacing"])
+    sweep_start: float = _key("sweep.start", "length", lambda v: 0.1 * _wavelength(v))
+    sweep_stop: float = _key("sweep.stop", "length", lambda v: 4.0 * _wavelength(v))
+    sweep_step: float = _key("sweep.step", "length", lambda v: 0.01 * _wavelength(v))
+    gain_span: float = _key("gain.span", "length", lambda v: 3.0 * v["spacing"])
+    gain_step: float = _key("gain.step", "length", lambda v: _wavelength(v) / 100.0)
+    # default layout: five focal points at multiples of the strip spacing
+    scan_targets: tuple[float, ...] = _key(
+        "scan.targets", "targets", lambda v: tuple(m * v["rx_spacing"] for m in (-10, -5, 0, 5, 10)),
+        choices=("paper-default",),
+    )
+    scan_resolution: int = _key("scan.resolution", "int", 16, minimum=8)
+    axial_z_min: float = _key("axial.z_min", "length", lambda v: 0.1 * v["focal_distance"])
+    axial_z_max: float = _key("axial.z_max", "length", lambda v: 2.0 * v["focal_distance"])
+    axial_samples: int = _key("axial.samples", "int", 2001, minimum=3)
+    output_dir: str = _key("output.directory", "path", "out")
+    output_format: str = _key("output.format", "choice", "csv", choices=("csv", "json"))
+    seed: int | None = _key("seed", "int", None, minimum=0)
 
     @property
     def wave(self) -> Wave:
@@ -70,6 +111,14 @@ class ExperimentConfig:
             rx_num=self.rx_num,
             rx_spacing=self.rx_spacing,
         )
+
+
+# section -> (lower field, upper field, message); checked only when the section is given
+_ORDER_CHECKS = {
+    "sweep": ("sweep_start", "sweep_stop", "start {:.6g} must be below stop {:.6g}"),
+    "gain": ("gain_step", "gain_span", "step {:.6g} must be below span {:.6g}"),
+    "axial": ("axial_z_min", "axial_z_max", "z_min {:.6g} must be below z_max {:.6g}"),
+}
 
 
 def _compose(text: str):
@@ -95,8 +144,8 @@ def _line(node) -> int:
     return node.start_mark.line + 1
 
 
-def _mapping_items(node, context: str) -> dict[str, tuple[int, object]]:
-    """Mapping node to {key: (line, value node)}, rejecting duplicates."""
+def _mapping_items(node, context: str, allowed: list[str]) -> dict[str, tuple[int, object]]:
+    """Mapping node to {key: (line, value node)}, rejecting duplicate and unknown keys."""
     if not isinstance(node, yaml.MappingNode):
         raise ConfigError(context, _line(node), "expected a mapping of keys to values")
     out: dict[str, tuple[int, object]] = {}
@@ -107,88 +156,72 @@ def _mapping_items(node, context: str) -> dict[str, tuple[int, object]]:
         if key in out:
             raise ConfigError(f"{context}.{key}" if context != "config" else key, _line(key_node), "duplicate key")
         out[key] = (_line(key_node), value_node)
-    return out
-
-
-def _reject_unknown(items: dict, allowed: tuple[str, ...], context: str) -> None:
-    for key, (line, _) in items.items():
+    for key, (line, _) in out.items():
         if key not in allowed:
             label = key if context == "config" else f"{context}.{key}"
             raise ConfigError(label, line, f"unknown key; allowed keys are {', '.join(allowed)}")
+    return out
 
 
-def _parse_frequency(raw, key: str, line: int) -> float:
-    if isinstance(raw, bool):
-        raise ConfigError(key, line, "expected a frequency, got a boolean")
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    elif isinstance(raw, str):
-        match = _QUANTITY_RE.match(raw)
-        if not match:
-            # YAML 1.1 leaves exponents like 6.0e9 unresolved; accept them as plain hertz
-            try:
-                numeric = float(raw)
-            except ValueError:
-                raise ConfigError(key, line, f"cannot parse frequency {raw!r}; use a number in Hz or 'value unit'")
-            return _parse_frequency(numeric, key, line)
+def _parse_quantity(raw, key: str, line: int, kind: str, units: dict, *, positive: bool = True) -> float:
+    """A finite ``kind`` quantity: a bare number in base units, or 'value unit' with a unit in ``units``."""
+    base, spellings = _UNIT_HINTS[kind]
+    if isinstance(raw, str) and (match := _QUANTITY_RE.match(raw)):
         unit = match.group(2).lower()
-        if unit not in _FREQUENCY_UNITS:
-            raise ConfigError(key, line, f"unknown frequency unit {match.group(2)!r}; use Hz, kHz, MHz, or GHz")
+        if unit not in units:
+            raise ConfigError(key, line, f"unknown {kind} unit {match.group(2)!r}; use {spellings}")
         try:
-            value = float(match.group(1)) * _FREQUENCY_UNITS[unit]
+            value = float(match.group(1)) * units[unit]
         except ValueError:
             raise ConfigError(key, line, f"cannot parse number in {raw!r}")
-    else:
-        raise ConfigError(key, line, f"expected a frequency, got {type(raw).__name__}")
-    if not value > 0.0:
-        raise ConfigError(key, line, f"must be positive, got {value}")
-    return value
-
-
-def _parse_length(raw, key: str, line: int, wavelength: float, *, positive: bool = True) -> float:
-    if isinstance(raw, bool):
-        raise ConfigError(key, line, "expected a length, got a boolean")
-    if isinstance(raw, (int, float)):
-        value = float(raw)
-    elif isinstance(raw, str):
-        match = _QUANTITY_RE.match(raw)
-        if not match:
-            # YAML 1.1 leaves exponents like 1.0e-2 unresolved; accept them as meters
-            try:
-                numeric = float(raw)
-            except ValueError:
-                raise ConfigError(key, line, f"cannot parse length {raw!r}; use a number in meters or 'value unit'")
-            return _parse_length(numeric, key, line, wavelength, positive=positive)
-        unit = match.group(2).lower()
-        if unit in _WAVELENGTH_UNITS:
-            factor = wavelength
-        elif unit in _LENGTH_UNITS:
-            factor = _LENGTH_UNITS[unit]
-        else:
-            raise ConfigError(key, line, f"unknown length unit {match.group(2)!r}; use m, cm, mm, km, or lambda")
+    elif isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+        # YAML 1.1 leaves exponents like 6.0e9 unresolved; accept them in base units
         try:
-            value = float(match.group(1)) * factor
+            value = float(raw)
         except ValueError:
-            raise ConfigError(key, line, f"cannot parse number in {raw!r}")
+            raise ConfigError(key, line, f"cannot parse {kind} {raw!r}; use a number in {base} or 'value unit'")
+        except OverflowError:
+            value = math.inf
     else:
-        raise ConfigError(key, line, f"expected a length, got {type(raw).__name__}")
+        raise ConfigError(key, line, f"expected a {kind}, got {type(raw).__name__}")
+    if not math.isfinite(value):
+        raise ConfigError(key, line, f"must be finite, got {value}")
     if positive and not value > 0.0:
         raise ConfigError(key, line, f"must be positive, got {value}")
     return value
 
 
-def _parse_int(raw, key: str, line: int, minimum: int = 1) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(key, line, f"expected an integer, got {raw!r}")
-    if raw < minimum:
-        raise ConfigError(key, line, f"must be at least {minimum}, got {raw}")
-    return raw
-
-
-def _parse_choice(raw, key: str, line: int, choices: tuple[str, ...]) -> str:
-    if not isinstance(raw, str) or raw not in choices:
-        raise ConfigError(key, line, f"expected one of {', '.join(choices)}, got {raw!r}")
-    return raw
+def _parse_value(spec, node, line: int, values: dict):
+    """Parse the value node of one schema entry; ``values`` holds the fields parsed before it."""
+    key, kind = spec["path"], spec["kind"]
+    if kind == "targets" and isinstance(node, yaml.SequenceNode):
+        if not node.value:
+            raise ConfigError(key, line, "target list must not be empty")
+        return tuple(
+            _parse_quantity(_construct(item), f"{key}[{i}]", _line(item), "length", _length_units(values), positive=False)
+            for i, item in enumerate(node.value)
+        )
+    if kind == "targets" and not isinstance(node, yaml.ScalarNode):
+        raise ConfigError(key, line, "expected 'paper-default' or a list of positions")
+    raw = _construct(node)
+    if kind in ("frequency", "length"):
+        units = _FREQUENCY_UNITS if kind == "frequency" else _length_units(values)
+        return _parse_quantity(raw, key, line, kind, units)
+    if kind == "int":
+        if isinstance(raw, bool) or not isinstance(raw, int):
+            raise ConfigError(key, line, f"expected an integer, got {raw!r}")
+        if raw < spec["minimum"]:
+            raise ConfigError(key, line, f"must be at least {spec['minimum']}, got {raw}")
+        return raw
+    if kind == "path":
+        if not isinstance(raw, str) or not raw:
+            raise ConfigError(key, line, f"expected a non-empty path, got {raw!r}")
+        return raw
+    if not isinstance(raw, str) or raw not in spec["choices"]:
+        raise ConfigError(key, line, f"expected one of {', '.join(spec['choices'])}, got {raw!r}")
+    if kind == "pattern":
+        return ElementPattern(raw)
+    return spec["default"](values) if kind == "targets" else raw
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -196,216 +229,52 @@ def parse_config(text: str) -> ExperimentConfig:
 
     Length values accept meters (bare numbers or m/cm/mm/km suffixes) and
     wavelength multiples ('2.27 lambda'); frequencies accept Hz through GHz.
-    Unknown or duplicate keys, malformed units, and out-of-range values raise
-    :class:`ConfigError` naming the key and line.
+    Quantities must be finite. Unknown or duplicate keys, malformed units,
+    and out-of-range values raise :class:`ConfigError` naming the key and line.
     """
-    node = _compose(text)
-    if node is None:
+    root = _compose(text)
+    if root is None:
         raise ConfigError("config", 1, "document is empty")
-    top = _mapping_items(node, "config")
-    _reject_unknown(
-        top,
-        (
-            "frequency", "num_elements", "spacing", "focal_distance", "pattern",
-            "experiment", "rx", "sweep", "gain", "scan", "axial", "output", "seed",
-        ),
-        "config",
-    )
+    schema = [(f.name, f.metadata) for f in fields(ExperimentConfig)]
+    top = _mapping_items(root, "config", list(dict.fromkeys(spec["section"] or spec["key"] for _, spec in schema)))
 
-    def require(key: str):
-        if key not in top:
-            raise ConfigError(key, _line(node), "required key is missing")
-        line, value_node = top[key]
-        return _construct(value_node), line
-
-    def optional(key: str):
-        if key not in top:
-            return None
-        line, value_node = top[key]
-        return _construct(value_node), line
-
-    freq_raw, freq_line = require("frequency")
-    frequency = _parse_frequency(freq_raw, "frequency", freq_line)
-    wavelength = wave_from_frequency(frequency).wavelength
-
-    def length_of(key: str, raw, line: int, *, positive: bool = True) -> float:
-        return _parse_length(raw, key, line, wavelength, positive=positive)
-
-    ne_raw, ne_line = require("num_elements")
-    num_elements = _parse_int(ne_raw, "num_elements", ne_line)
-    sp_raw, sp_line = require("spacing")
-    spacing = length_of("spacing", sp_raw, sp_line)
-    fd_raw, fd_line = require("focal_distance")
-    focal_distance = length_of("focal_distance", fd_raw, fd_line)
-
-    pattern = ElementPattern.ISOTROPIC
-    got = optional("pattern")
-    if got is not None:
-        raw, line = got
-        pattern = ElementPattern(
-            _parse_choice(raw, "pattern", line, tuple(p.value for p in ElementPattern))
-        )
-
-    experiment = None
-    got = optional("experiment")
-    if got is not None:
-        raw, line = got
-        experiment = _parse_choice(raw, "experiment", line, EXPERIMENTS)
-
-    rx_num, rx_spacing = num_elements, spacing
-    if "rx" in top:
-        _, rx_node = top["rx"]
-        rx_items = _mapping_items(rx_node, "rx")
-        _reject_unknown(rx_items, ("num_elements", "spacing"), "rx")
-        if "num_elements" in rx_items:
-            line, vn = rx_items["num_elements"]
-            rx_num = _parse_int(_construct(vn), "rx.num_elements", line)
-        if "spacing" in rx_items:
-            line, vn = rx_items["spacing"]
-            rx_spacing = length_of("rx.spacing", _construct(vn), line)
-
-    sweep_start, sweep_stop, sweep_step = 0.1 * wavelength, 4.0 * wavelength, 0.01 * wavelength
-    if "sweep" in top:
-        _, sw_node = top["sweep"]
-        sw = _mapping_items(sw_node, "sweep")
-        _reject_unknown(sw, ("start", "stop", "step"), "sweep")
-        if "start" in sw:
-            line, vn = sw["start"]
-            sweep_start = length_of("sweep.start", _construct(vn), line)
-        if "stop" in sw:
-            line, vn = sw["stop"]
-            sweep_stop = length_of("sweep.stop", _construct(vn), line)
-        if "step" in sw:
-            line, vn = sw["step"]
-            sweep_step = length_of("sweep.step", _construct(vn), line)
-        if not sweep_start < sweep_stop:
-            raise ConfigError("sweep", _line(sw_node), f"start {sweep_start:.6g} must be below stop {sweep_stop:.6g}")
-
-    gain_span, gain_step = 3.0 * spacing, wavelength / 100.0
-    if "gain" in top:
-        _, g_node = top["gain"]
-        g = _mapping_items(g_node, "gain")
-        _reject_unknown(g, ("span", "step"), "gain")
-        if "span" in g:
-            line, vn = g["span"]
-            gain_span = length_of("gain.span", _construct(vn), line)
-        if "step" in g:
-            line, vn = g["step"]
-            gain_step = length_of("gain.step", _construct(vn), line)
-        if gain_step >= gain_span:
-            raise ConfigError("gain", _line(g_node), f"step {gain_step:.6g} must be below span {gain_span:.6g}")
-
-    scan_targets: tuple[float, ...] | None = None
-    scan_resolution = 16
-    if "scan" in top:
-        _, sc_node = top["scan"]
-        sc = _mapping_items(sc_node, "scan")
-        _reject_unknown(sc, ("targets", "resolution"), "scan")
-        if "resolution" in sc:
-            line, vn = sc["resolution"]
-            scan_resolution = _parse_int(_construct(vn), "scan.resolution", line, minimum=8)
-        if "targets" in sc:
-            line, vn = sc["targets"]
-            if isinstance(vn, yaml.ScalarNode):
-                raw = _construct(vn)
-                _parse_choice(raw, "scan.targets", line, ("paper-default",))
-            elif isinstance(vn, yaml.SequenceNode):
-                if not vn.value:
-                    raise ConfigError("scan.targets", line, "target list must not be empty")
-                scan_targets = tuple(
-                    length_of(f"scan.targets[{i}]", _construct(item), _line(item), positive=False)
-                    for i, item in enumerate(vn.value)
-                )
+    values: dict[str, object] = {}
+    for section, group in groupby(schema, lambda entry: entry[1]["section"]):
+        group = list(group)
+        items: dict = {} if section else top
+        if section in top:
+            items = _mapping_items(top[section][1], section, [spec["key"] for _, spec in group])
+        for name, spec in group:
+            default = spec["default"]
+            if spec["key"] in items:
+                line, value_node = items[spec["key"]]
+                values[name] = _parse_value(spec, value_node, line, values)
+            elif default is _REQUIRED:
+                raise ConfigError(spec["path"], _line(root), "required key is missing")
             else:
-                raise ConfigError("scan.targets", line, "expected 'paper-default' or a list of positions")
-    if scan_targets is None:
-        # Default layout: five focal points at multiples of the strip spacing.
-        scan_targets = tuple(m * rx_spacing for m in (-10, -5, 0, 5, 10))
-
-    axial_z_min, axial_z_max, axial_samples = 0.1 * focal_distance, 2.0 * focal_distance, 2001
-    if "axial" in top:
-        _, ax_node = top["axial"]
-        ax = _mapping_items(ax_node, "axial")
-        _reject_unknown(ax, ("z_min", "z_max", "samples"), "axial")
-        if "z_min" in ax:
-            line, vn = ax["z_min"]
-            axial_z_min = length_of("axial.z_min", _construct(vn), line)
-        if "z_max" in ax:
-            line, vn = ax["z_max"]
-            axial_z_max = length_of("axial.z_max", _construct(vn), line)
-        if "samples" in ax:
-            line, vn = ax["samples"]
-            axial_samples = _parse_int(_construct(vn), "axial.samples", line, minimum=3)
-        if not axial_z_min < axial_z_max:
-            raise ConfigError("axial", _line(ax_node), f"z_min {axial_z_min:.6g} must be below z_max {axial_z_max:.6g}")
-
-    output_dir, output_format = "out", "csv"
-    if "output" in top:
-        _, o_node = top["output"]
-        o = _mapping_items(o_node, "output")
-        _reject_unknown(o, ("directory", "format"), "output")
-        if "directory" in o:
-            line, vn = o["directory"]
-            raw = _construct(vn)
-            if not isinstance(raw, str) or not raw:
-                raise ConfigError("output.directory", line, f"expected a non-empty path, got {raw!r}")
-            output_dir = raw
-        if "format" in o:
-            line, vn = o["format"]
-            output_format = _parse_choice(raw=_construct(vn), key="output.format", line=line, choices=("csv", "json"))
-
-    seed = None
-    got = optional("seed")
-    if got is not None:
-        raw, line = got
-        seed = _parse_int(raw, "seed", line, minimum=0)
-
-    return ExperimentConfig(
-        frequency=frequency,
-        num_elements=num_elements,
-        spacing=spacing,
-        focal_distance=focal_distance,
-        pattern=pattern,
-        experiment=experiment,
-        rx_num=rx_num,
-        rx_spacing=rx_spacing,
-        sweep_start=sweep_start,
-        sweep_stop=sweep_stop,
-        sweep_step=sweep_step,
-        gain_span=gain_span,
-        gain_step=gain_step,
-        scan_targets=scan_targets,
-        scan_resolution=scan_resolution,
-        axial_z_min=axial_z_min,
-        axial_z_max=axial_z_max,
-        axial_samples=axial_samples,
-        output_dir=output_dir,
-        output_format=output_format,
-        seed=seed,
-    )
+                values[name] = default(values) if callable(default) else default
+        if section in _ORDER_CHECKS and section in top:
+            low, high, message = _ORDER_CHECKS[section]
+            if not values[low] < values[high]:
+                raise ConfigError(section, _line(top[section][1]), message.format(values[low], values[high]))
+    return ExperimentConfig(**values)
 
 
 def serialize_config(config: ExperimentConfig) -> str:
     """Canonical YAML for a resolved configuration; parse_config inverts it exactly.
 
     All quantities are written in base SI units, so the output is unit-free
-    and reproducible byte for byte.
+    and reproducible byte for byte. Fields set to None are omitted.
     """
-    doc: dict[str, object] = {
-        "frequency": config.frequency,
-        "num_elements": config.num_elements,
-        "spacing": config.spacing,
-        "focal_distance": config.focal_distance,
-        "pattern": config.pattern.value,
-    }
-    if config.experiment is not None:
-        doc["experiment"] = config.experiment
-    doc["rx"] = {"num_elements": config.rx_num, "spacing": config.rx_spacing}
-    doc["sweep"] = {"start": config.sweep_start, "stop": config.sweep_stop, "step": config.sweep_step}
-    doc["gain"] = {"span": config.gain_span, "step": config.gain_step}
-    doc["scan"] = {"targets": list(config.scan_targets), "resolution": config.scan_resolution}
-    doc["axial"] = {"z_min": config.axial_z_min, "z_max": config.axial_z_max, "samples": config.axial_samples}
-    doc["output"] = {"directory": config.output_dir, "format": config.output_format}
-    if config.seed is not None:
-        doc["seed"] = config.seed
+    doc: dict[str, object] = {}
+    for f in fields(config):
+        spec, value = f.metadata, getattr(config, f.name)
+        if value is None:
+            continue
+        if spec["kind"] == "pattern":
+            value = value.value
+        elif spec["kind"] == "targets":
+            value = list(value)
+        section = doc.setdefault(spec["section"], {}) if spec["section"] else doc
+        section[spec["key"]] = value
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)

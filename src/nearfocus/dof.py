@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import FocusScenario, Wave
+from .model import FocusScenario, Wave, _finite_positive
 from .field import ChannelMatrix, SingularDistanceError, channel_matrix
 
 
@@ -98,8 +98,7 @@ def optimal_spacing(num_elements: int, focal_distance: float, wave: Wave, n: int
     focusing-gain null with the adjacent element offset."""
     if not isinstance(num_elements, (int, np.integer)) or num_elements < 1:
         raise ValueError(f"num_elements must be a positive integer, got {num_elements!r}")
-    if not focal_distance > 0.0:
-        raise ValueError(f"focal_distance must be positive, got {focal_distance!r}")
+    _finite_positive("focal_distance", focal_distance)
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"null index n must be a positive integer, got {n!r}")
     return math.sqrt(n * wave.wavelength * focal_distance / num_elements)

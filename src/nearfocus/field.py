@@ -12,6 +12,7 @@ from .model import (
     FocusScenario,
     Wave,
     _cos2,
+    _finite_positive,
     _has_rolloff,
     centered_positions,
     element_positions,
@@ -108,8 +109,7 @@ def conjugate_excitation(tx: ArraySpec, focus_x: float, focus_z: float) -> np.nd
     """
     if not math.isfinite(focus_x):
         raise ValueError(f"focus_x must be finite, got {focus_x!r}")
-    if not (math.isfinite(focus_z) and focus_z > 0.0):
-        raise ValueError(f"focus_z must be finite and positive, got {focus_z!r}")
+    _finite_positive("focus_z", focus_z)
     xn = element_positions(tx)
     r = np.hypot(focus_x - xn, focus_z)
     return np.exp(1j * tx.wave.wavenumber * r)

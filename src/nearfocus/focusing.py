@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArraySpec, FocusScenario, Wave
+from .model import ArraySpec, FocusScenario, Wave, _finite_positive
 from .field import conjugate_excitation, field_at
 
 LOBE_THRESHOLD_DB = -13.0
@@ -125,6 +125,18 @@ def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
     )
 
 
+def _sine_ratio(num_elements: int, u: np.ndarray) -> np.ndarray:
+    """sin(N u) / sin(u), taking the limit N cos(N u) / cos(u) where sin(u) vanishes."""
+    s = np.sin(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.sin(num_elements * u) / s
+    near_pole = np.abs(s) < 1e-9
+    if np.any(near_pole):
+        limit = num_elements * np.cos(num_elements * u) / np.cos(u)
+        ratio = np.where(near_pole, limit, ratio)
+    return ratio
+
+
 def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offsets) -> GainProfile:
     """Small-angle focusing gain G = (1/N) [sin(N u) / sin(u)]^2, u = k d delta / (2 z0).
 
@@ -135,18 +147,9 @@ def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offs
     """
     offs = np.asarray(offsets, dtype=float)
     _check_offsets(offs)
-    if not z0 > 0.0:
-        raise ValueError(f"z0 must be positive, got {z0!r}")
-    if not spacing > 0.0:
-        raise ValueError(f"spacing must be positive, got {spacing!r}")
-    u = 0.5 * wave.wavenumber * spacing * offs / z0
-    s = np.sin(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.sin(num_elements * u) / s
-    near_pole = np.abs(s) < 1e-9
-    if np.any(near_pole):
-        limit = num_elements * np.cos(num_elements * u) / np.cos(u)
-        ratio = np.where(near_pole, limit, ratio)
+    _finite_positive("z0", z0)
+    _finite_positive("spacing", spacing)
+    ratio = _sine_ratio(num_elements, 0.5 * wave.wavenumber * spacing * offs / z0)
     gain = ratio * ratio / num_elements
     ipk = int(np.argmax(gain))
     peak_offset, peak_gain = _refine_max(offs, gain, ipk, log_domain=True)

@@ -21,10 +21,15 @@ class Wave:
     wavenumber: float
 
 
+def _finite_positive(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a finite positive number."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def wave_from_frequency(frequency: float) -> Wave:
     """Build a :class:`Wave` from its frequency in hertz."""
-    if not frequency > 0.0:
-        raise ValueError(f"frequency must be positive, got {frequency!r}")
+    _finite_positive("frequency", frequency)
     wavelength = SPEED_OF_LIGHT / frequency
     return Wave(
         frequency=float(frequency),
@@ -54,8 +59,7 @@ class ArraySpec:
     def __post_init__(self) -> None:
         if not isinstance(self.num_elements, (int, np.integer)) or self.num_elements < 1:
             raise ValueError(f"num_elements must be a positive integer, got {self.num_elements!r}")
-        if not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
+        _finite_positive("spacing", self.spacing)
 
     @property
     def aperture(self) -> float:
@@ -77,16 +81,14 @@ class FocusScenario:
     rx_spacing: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.focal_distance > 0.0:
-            raise ValueError(f"focal_distance must be positive, got {self.focal_distance!r}")
+        _finite_positive("focal_distance", self.focal_distance)
         if self.rx_num is None:
             object.__setattr__(self, "rx_num", self.tx.num_elements)
         if self.rx_spacing is None:
             object.__setattr__(self, "rx_spacing", self.tx.spacing)
         if not isinstance(self.rx_num, (int, np.integer)) or self.rx_num < 1:
             raise ValueError(f"rx_num must be a positive integer, got {self.rx_num!r}")
-        if not self.rx_spacing > 0.0:
-            raise ValueError(f"rx_spacing must be positive, got {self.rx_spacing!r}")
+        _finite_positive("rx_spacing", self.rx_spacing)
 
     @property
     def strip_extent(self) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .dof import dof_sweep, optimal_spacing
-from .focusing import axial_profile, gain_exact, gain_paraxial, scan_focal_points
+from .focusing import _sine_ratio, axial_profile, gain_exact, gain_paraxial, scan_focal_points
 
 _TINY = 1e-300  # keeps logs finite when a sampled profile value underflows to zero
 
@@ -90,25 +90,20 @@ def _run_dof_sweep(config: ExperimentConfig):
         npts,
     )
     sweep = dof_sweep(config.scenario(), spacings)
-    rows = []
-    for d, ne in zip(sweep.spacings, sweep.dof_curve):
-        # Normalized paraxial gain seen at the adjacent element offset delta = d;
-        # the DoF maximum is expected where this response falls into its first null.
-        u = math.pi * d * d / (wave.wavelength * config.focal_distance)
-        if abs(math.sin(u)) < 1e-9:
-            ratio = config.num_elements * math.cos(config.num_elements * u) / math.cos(u)
-        else:
-            ratio = math.sin(config.num_elements * u) / math.sin(u)
-        neighbor_gain = (ratio / config.num_elements) ** 2
-        rows.append(
-            (
-                float(d),
-                float(d / wave.wavelength),
-                float(ne),
-                neighbor_gain,
-                1.0 if d == sweep.best_spacing else 0.0,
-            )
+    # Normalized paraxial gain seen at the adjacent element offset delta = d;
+    # the DoF maximum is expected where this response falls into its first null.
+    u = np.pi * sweep.spacings * sweep.spacings / (wave.wavelength * config.focal_distance)
+    neighbor_gains = (_sine_ratio(config.num_elements, u) / config.num_elements) ** 2
+    rows = [
+        (
+            float(d),
+            float(d / wave.wavelength),
+            float(ne),
+            float(g),
+            1.0 if d == sweep.best_spacing else 0.0,
         )
+        for d, ne, g in zip(sweep.spacings, sweep.dof_curve, neighbor_gains)
+    ]
     closed_form = optimal_spacing(config.num_elements, config.focal_distance, wave)
     summary = {
         "best_spacing_m": sweep.best_spacing,
@@ -256,7 +251,7 @@ def write_table(table: ResultTable, fmt: str, destination) -> Path:
             "columns": list(table.columns),
             "rows": [list(row) for row in table.rows],
         }
-        text = json.dumps(payload, indent=2) + "\n"
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         raise ValueError(f"unknown output format {fmt!r}; use csv or json")
     try:
@@ -270,7 +265,7 @@ def write_summary(summary: dict, destination) -> Path:
     """Write the headline scalars of a run as a small JSON document."""
     path = Path(destination)
     try:
-        path.write_text(json.dumps(summary, indent=2) + "\n")
+        path.write_text(json.dumps(summary, indent=2, allow_nan=False) + "\n")
     except OSError as exc:
         raise OSError(f"cannot write summary to {path}: {exc}") from exc
     return path

@@ -60,6 +60,30 @@ def test_config_error_exits_one_with_record(tmp_path, capsys):
     assert "line 5" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "extra, key, experiment",
+    [
+        ("frequency: .inf\n", "frequency", "scan"),
+        ("spacing: .inf\n", "spacing", "gain-profile"),
+        ("focal_distance: .inf\n", "focal_distance", "optimal-spacing"),
+        ("axial:\n  z_max: .inf\n", "axial.z_max", "axial"),
+    ],
+    ids=["frequency", "spacing", "focal_distance", "axial-z_max"],
+)
+def test_non_finite_value_exits_one_with_record(tmp_path, capsys, extra, key, experiment):
+    lines = [l for l in BASE.splitlines(keepends=True) if l.split(":")[0] != extra.split(":")[0]]
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("".join(lines) + extra)
+    out = tmp_path / "o"
+    code = main([experiment, "--config", str(bad), "--output", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "ConfigError", "message": record["message"], "exit_status": 1}
+    assert record["message"].startswith(f"{key} (line ")
+    assert "finite" in record["message"]
+    assert not out.exists()
+
+
 def test_domain_error_exits_two(tmp_path, capsys):
     bad = tmp_path / "axial.yaml"
     bad.write_text(BASE + "axial:\n  z_min: 300 lambda\n  z_max: 400 lambda\n")

@@ -1,5 +1,7 @@
 """YAML experiment configuration: units, defaults, errors, round-trip."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,9 @@ from nearfocus import (
     serialize_config,
     wave_from_frequency,
 )
+from nearfocus.runner import _metadata
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 BASE = """\
 frequency: 6 GHz
@@ -197,6 +202,50 @@ class TestErrors:
 
     def test_invalid_yaml(self):
         self.expect("frequency: [unclosed\n", "config")
+
+    @pytest.mark.parametrize(
+        "text, key, line",
+        [
+            ("frequency: .inf\nnum_elements: 4\nspacing: 0.01\nfocal_distance: 1\n", "frequency", 1),
+            ("frequency: 1e400 Hz\nnum_elements: 4\nspacing: 0.01\nfocal_distance: 1\n", "frequency", 1),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: .inf\nfocal_distance: 1\n", "spacing", 3),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: -.inf\nfocal_distance: 1\n", "spacing", 3),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: .nan\nfocal_distance: 1\n", "spacing", 3),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: 1e400\nfocal_distance: 1\n", "spacing", 3),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: 1" + "0" * 400 + "\nfocal_distance: 1\n", "spacing", 3),
+            ("frequency: 6 GHz\nnum_elements: 4\nspacing: 0.01\nfocal_distance: .inf\n", "focal_distance", 4),
+            (BASE + "axial:\n  z_max: .inf\n", "axial.z_max", 6),
+            (BASE + "gain:\n  span: 1e400 lambda\n", "gain.span", 6),
+            (BASE + "scan:\n  targets: [0, .inf]\n", "scan.targets[1]", 6),
+            (BASE + "scan:\n  targets:\n    - 0\n    - -.inf\n", "scan.targets[1]", 8),
+        ],
+        ids=[
+            "frequency-inf", "frequency-1e400-unit", "spacing-inf", "spacing-minus-inf", "spacing-nan",
+            "spacing-1e400", "spacing-400-digit-int", "focal_distance-inf", "axial-z_max-inf",
+            "gain-span-1e400-lambda", "scan-target-flow-inf", "scan-target-block-minus-inf",
+        ],
+    )
+    def test_non_finite_quantity(self, text, key, line):
+        err = self.expect(text, key, line=line)
+        assert "finite" in str(err)
+
+
+SHIPPED_CONFIG_SHA256 = {
+    "axial": "7af9a93a8da237ad3357b29fa3a6529463e5da8069003f97b94a95c22020cddc",
+    "dof_sweep": "832a0d4151b66315be01c7771833087f1ee984d0cb4e060cc52f64c9ef5323ff",
+    "gain_profile": "c99cfb4f558f0cb6d0de3011009cdb6697aef4dee9ef944ef13cf155bc9ae0c1",
+    "optimal_spacing": "6ad696d82a0d093746badf40da73c957f112e4a601d74300ec9acec0127cf343",
+    "scan": "77b19adffb84c8d81ce11807b447156b4be6060b173cd95372b8019f200b90ff",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_CONFIG_SHA256))
+def test_shipped_config_hash_is_pinned(name):
+    # the canonical serialization names a run in its metadata (config_sha256),
+    # so it must not drift for the shipped configs
+    cfg = parse_config((CONFIGS / f"{name}.yaml").read_text())
+    assert _metadata(cfg)["config_sha256"] == SHIPPED_CONFIG_SHA256[name]
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 class TestRoundTrip:

@@ -177,5 +177,7 @@ class TestOptimalSpacing:
             optimal_spacing(0, 1.0, wave6)
         with pytest.raises(ValueError):
             optimal_spacing(4, -1.0, wave6)
+        with pytest.raises(ValueError, match="finite"):
+            optimal_spacing(4, math.inf, wave6)
         with pytest.raises(ValueError):
             optimal_spacing(4, 1.0, wave6, n=0)

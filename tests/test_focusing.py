@@ -144,6 +144,11 @@ class TestGainParaxial:
             gain_paraxial(40, -0.01, 1.0, wave6, offs)
         with pytest.raises(ValueError):
             gain_paraxial(40, 0.01, 0.0, wave6, offs)
+        for bad in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                gain_paraxial(40, bad, 1.0, wave6, offs)
+            with pytest.raises(ValueError, match="finite"):
+                gain_paraxial(40, 0.01, bad, wave6, offs)
 
 
 class TestParaxialExactAgreement:

@@ -31,7 +31,7 @@ def test_wave_quantities_at_6ghz(wave6):
     assert wave6.wavenumber == pytest.approx(2.0 * math.pi / wave6.wavelength, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -6e9])
+@pytest.mark.parametrize("bad", [0.0, -1.0, -6e9, math.inf, -math.inf, math.nan])
 def test_wave_rejects_nonpositive_frequency(bad):
     with pytest.raises(ValueError):
         wave_from_frequency(bad)
@@ -72,6 +72,9 @@ def test_array_spec_validation(wave6):
         ArraySpec(wave=wave6, num_elements=4, spacing=0.0)
     with pytest.raises(ValueError):
         ArraySpec(wave=wave6, num_elements=4, spacing=-0.01)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            ArraySpec(wave=wave6, num_elements=4, spacing=bad)
 
 
 def test_aperture_is_count_times_spacing(wave6):
@@ -102,6 +105,11 @@ def test_scenario_validation(wave6):
         FocusScenario(tx=tx, focal_distance=1.0, rx_num=0)
     with pytest.raises(ValueError):
         FocusScenario(tx=tx, focal_distance=1.0, rx_spacing=-0.1)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            FocusScenario(tx=tx, focal_distance=bad)
+        with pytest.raises(ValueError, match="finite"):
+            FocusScenario(tx=tx, focal_distance=1.0, rx_spacing=bad)
 
 
 def test_pattern_factor_is_one_at_broadside():

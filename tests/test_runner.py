@@ -1,6 +1,7 @@
 """Experiment dispatch, table structure, and deterministic serialization."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -62,6 +63,20 @@ def test_dof_sweep_table():
     assert best_row[2] == max(row[2] for row in table.rows)
     assert all(0.0 <= row[3] <= 1.0 for row in table.rows)
     assert summary["closed_form_spacing_over_lambda"] == pytest.approx(math.sqrt(5.0), rel=1e-12)
+
+
+def test_neighbor_gain_matches_scalar_ratio_of_sines():
+    # the per-spacing scalar formula the vectorised column replaced, pole limit included
+    cfg = config_for("dof-sweep", "sweep:\n  start: 0.1 lambda\n  stop: 4 lambda\n  step: 0.05 lambda\n")
+    table, _ = run_experiment(cfg)
+    n, lam = cfg.num_elements, cfg.wave.wavelength
+    for row in table.rows:
+        u = math.pi * row[0] * row[0] / (lam * cfg.focal_distance)
+        if abs(math.sin(u)) < 1e-9:
+            ratio = n * math.cos(n * u) / math.cos(u)
+        else:
+            ratio = math.sin(n * u) / math.sin(u)
+        assert row[3] == pytest.approx((ratio / n) ** 2, rel=1e-12)
 
 
 def test_gain_profile_table():
@@ -146,6 +161,13 @@ class TestWriteTable:
         with pytest.raises(ValueError):
             write_table(table, "xml", tmp_path / "t.xml")
 
+    def test_json_rejects_non_finite_values(self, tmp_path):
+        table, _ = run_experiment(config_for("optimal-spacing"))
+        bad = dataclasses.replace(table, rows=table.rows + ((5.0, math.nan, math.inf),))
+        with pytest.raises(ValueError):
+            write_table(bad, "json", tmp_path / "t.json")
+        assert not (tmp_path / "t.json").exists()
+
     def test_write_failure_names_path(self, tmp_path):
         table, _ = run_experiment(config_for("optimal-spacing"))
         bad = tmp_path / "missing_dir" / "t.csv"
@@ -157,6 +179,13 @@ def test_summary_sidecar_round_trips(tmp_path):
     _, summary = run_experiment(config_for("optimal-spacing"))
     path = write_summary(summary, tmp_path / "s.json")
     assert json.loads(path.read_text()) == summary
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_summary_rejects_non_finite_values(tmp_path, bad):
+    with pytest.raises(ValueError):
+        write_summary({"focal_shift_m": bad}, tmp_path / "s.json")
+    assert not (tmp_path / "s.json").exists()
 
 
 def test_full_precision_floats_survive_csv(tmp_path):
