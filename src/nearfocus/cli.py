@@ -9,8 +9,6 @@ import sys
 from pathlib import Path
 
 from .config import EXPERIMENTS, ConfigError, parse_config
-from .dof import DegenerateChannelError
-from .field import SingularDistanceError
 from .runner import run_experiment, write_summary, write_table
 
 EXIT_OK = 0
@@ -70,7 +68,7 @@ def main(argv=None) -> int:
             table, config.output_format, out_dir / f"{config.experiment}.{config.output_format}"
         )
         summary_path = write_summary(summary, out_dir / f"{config.experiment}_summary.json")
-    except (SingularDistanceError, DegenerateChannelError, ValueError, OSError) as exc:
+    except Exception as exc:  # a valid config that fails to run or write is a runtime failure
         return _error_record(EXIT_RUNTIME, exc)
 
     print(f"wrote {table_path}")

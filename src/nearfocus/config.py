@@ -204,9 +204,15 @@ def _parse_value(spec, node, line: int, values: dict):
     if kind == "targets" and not isinstance(node, yaml.ScalarNode):
         raise ConfigError(key, line, "expected 'paper-default' or a list of positions")
     raw = _construct(node)
-    if kind in ("frequency", "length"):
-        units = _FREQUENCY_UNITS if kind == "frequency" else _length_units(values)
-        return _parse_quantity(raw, key, line, kind, units)
+    if kind == "frequency":
+        value = _parse_quantity(raw, key, line, kind, _FREQUENCY_UNITS)
+        try:
+            wave_from_frequency(value)
+        except ValueError as exc:
+            raise ConfigError(key, line, str(exc))
+        return value
+    if kind == "length":
+        return _parse_quantity(raw, key, line, kind, _length_units(values))
     if kind == "int":
         if isinstance(raw, bool) or not isinstance(raw, int):
             raise ConfigError(key, line, f"expected an integer, got {raw!r}")

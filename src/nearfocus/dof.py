@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
-from .model import FocusScenario, Wave, _finite_positive
-from .field import ChannelMatrix, SingularDistanceError, channel_matrix
+from .model import FocusScenario, Wave, _finite_positive, element_positions
+from .field import ChannelMatrix, SingularDistanceError, _propagation
 
 
 class DegenerateChannelError(ValueError):
@@ -17,18 +18,32 @@ class DegenerateChannelError(ValueError):
 
 @dataclass(frozen=True)
 class DofResult:
-    """Effective DoF together with the Gram eigenvalues it was computed from."""
+    """Effective DoF of a channel matrix H, with its Gram spectrum on request.
+
+    ``entries`` is the M-by-N matrix H passed to :func:`effective_dof`, held
+    by reference. ``eigenvalues`` is computed from it on first access and
+    cached: the M eigenvalues of H H^H in descending order, clipped at zero.
+    """
 
     effective_dof: float
-    eigenvalues: np.ndarray
+    entries: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        h = self.entries
+        # a Hermitian solver; tiny negative values are numerical noise from
+        # the rank-deficient tail
+        return np.clip(np.linalg.eigvalsh(h @ h.conj().T)[::-1], 0.0, None)
 
 
 def effective_dof(channel) -> DofResult:
     """Participation ratio (sum s)^2 / sum s^2 of the channel Gram eigenvalues.
 
-    Accepts a :class:`ChannelMatrix` or a plain complex matrix. Eigenvalues of
-    H H^H are evaluated with a Hermitian solver and clipped at zero; tiny
-    negative values are numerical noise from the rank-deficient tail.
+    Accepts a :class:`ChannelMatrix` or a plain complex matrix H. The ratio
+    is evaluated in trace form, tr(G)^2 / ||G||_F^2 with tr(G) = ||H||_F^2
+    and G the Gram matrix on the smaller side of H (H H^H or H^H H), so no
+    eigendecomposition is needed. H is first divided by max|H|, which makes
+    the result independent of its overall scale.
     """
     if isinstance(channel, ChannelMatrix):
         h = channel.entries
@@ -36,14 +51,15 @@ def effective_dof(channel) -> DofResult:
         h = np.asarray(channel, dtype=complex)
     if h.ndim != 2 or h.size == 0:
         raise DegenerateChannelError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
-    gram = h @ h.conj().T
-    eig = np.linalg.eigvalsh(gram)[::-1]
-    eig = np.clip(eig, 0.0, None)
-    total = float(np.sum(eig))
-    if total == 0.0:
+    peak = float(np.max(np.abs(h)))
+    if not math.isfinite(peak):
+        raise ValueError("channel matrix has non-finite entries")
+    if peak == 0.0:
         raise DegenerateChannelError("all Gram eigenvalues are zero")
-    ne = total * total / float(np.sum(eig * eig))
-    return DofResult(effective_dof=ne, eigenvalues=eig)
+    hs = h / peak
+    gram = hs @ hs.conj().T if h.shape[0] <= h.shape[1] else hs.conj().T @ hs
+    trace = float(np.vdot(hs, hs).real)
+    return DofResult(effective_dof=trace * trace / float(np.vdot(gram, gram).real), entries=h)
 
 
 @dataclass(frozen=True)
@@ -61,8 +77,10 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
 
     For every candidate d the scenario is rebuilt with both transmit and
     receive spacing set to d and the receive sample count matched to the
-    transmit element count, so the strip tracks the array aperture. Ties on
-    the maximum resolve to the smallest spacing.
+    transmit element count, so the strip tracks the array aperture. The
+    strip then copies the array, entry (m, n) of the channel depends only on
+    m - n, and its 2N - 1 distinct entries come from the two strip-end
+    samples. Ties on the maximum resolve to the smallest spacing.
     """
     ds = np.asarray(spacings, dtype=float)
     if ds.ndim != 1 or ds.size == 0:
@@ -71,17 +89,19 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
         raise ValueError("spacings must be positive")
     if np.any(np.diff(ds) <= 0.0):
         raise ValueError("spacings must be strictly ascending")
+    num = template.tx.num_elements
+    # position of entry (m, n) in the lag vector, which runs from m - n = 1 - N to N - 1
+    lags = np.subtract.outer(np.arange(num), np.arange(num)) + (num - 1)
+    z0 = np.full(2, template.focal_distance)
     curve = np.empty_like(ds)
     for i, d in enumerate(ds):
         tx = replace(template.tx, spacing=float(d))
-        scen = FocusScenario(
-            tx=tx,
-            focal_distance=template.focal_distance,
-            rx_num=tx.num_elements,
-            rx_spacing=float(d),
-        )
         try:
-            curve[i] = effective_dof(channel_matrix(scen)).effective_dof
+            strip_ends = element_positions(tx)[[0, -1]]
+            ends = np.vstack([k for _, k in _propagation(tx, strip_ends, z0, "dof_sweep")])
+            # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n
+            lag_vector = np.concatenate((ends[0, ::-1], ends[1, -2::-1]))
+            curve[i] = effective_dof(lag_vector[lags]).effective_dof
         except (SingularDistanceError, DegenerateChannelError) as exc:
             raise type(exc)(f"sweep aborted at spacing {d:.6g} m: {exc}") from exc
     best = int(np.argmax(curve))

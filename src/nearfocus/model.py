@@ -28,9 +28,10 @@ def _finite_positive(name: str, value) -> None:
 
 
 def wave_from_frequency(frequency: float) -> Wave:
-    """Build a :class:`Wave` from its frequency in hertz."""
+    """Build a :class:`Wave` from its frequency in hertz; its wavelength must be finite."""
     _finite_positive("frequency", frequency)
     wavelength = SPEED_OF_LIGHT / frequency
+    _finite_positive("wavelength", wavelength)
     return Wave(
         frequency=float(frequency),
         wavelength=wavelength,

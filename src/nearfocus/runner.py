@@ -237,10 +237,15 @@ def write_table(table: ResultTable, fmt: str, destination) -> Path:
 
     CSV carries the metadata as leading comment lines, then a header row and
     one line per row with full-precision floats. JSON mirrors the table as
-    {"metadata", "columns", "rows"}.
+    {"metadata", "columns", "rows"}. Both formats reject NaN and infinite
+    values with ``ValueError`` before anything is written.
     """
     path = Path(destination)
     if fmt == "csv":
+        for i, row in enumerate(table.rows):
+            for column, value in zip(table.columns, row):
+                if not math.isfinite(value):
+                    raise ValueError(f"CSV cell {column} of row {i} is not finite: {value!r}")
         lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
         lines.append(",".join(table.columns))
         lines.extend(",".join(_format_value(v) for v in row) for row in table.rows)

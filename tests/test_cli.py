@@ -1,11 +1,14 @@
 """Command-line behavior: exit statuses, overrides, and reproducible outputs."""
 
+import dataclasses
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
+from nearfocus import cli
 from nearfocus.cli import main
 
 BASE = """\
@@ -82,6 +85,54 @@ def test_non_finite_value_exits_one_with_record(tmp_path, capsys, extra, key, ex
     assert record["message"].startswith(f"{key} (line ")
     assert "finite" in record["message"]
     assert not out.exists()
+
+
+def test_frequency_with_infinite_wavelength_exits_one(tmp_path):
+    # a subprocess, so stderr is exactly what a shell would see, warnings included
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BASE.replace("frequency: 6 GHz", "frequency: 1e-300 Hz"))
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nearfocus.cli", "gain-profile", "--config", str(bad), "--output", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith("frequency (line 1): wavelength must be finite")
+    assert "RuntimeWarning" not in proc.stderr
+    assert not out.exists()
+
+
+def test_unexpected_error_exits_two_without_traceback(tmp_path, config_path, capsys, monkeypatch):
+    def broken(config):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(cli, "run_experiment", broken)
+    code = main(["scan", "--config", str(config_path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert json.loads(err) == {"error": "ZeroDivisionError", "message": "float division by zero", "exit_status": 2}
+    assert "Traceback" not in err
+
+
+def test_non_finite_table_cell_exits_two(tmp_path, config_path, capsys, monkeypatch):
+    run = cli.run_experiment
+
+    def with_nan(config):
+        table, summary = run(config)
+        return dataclasses.replace(table, rows=table.rows + ((5.0, math.nan, 1.0),)), summary
+
+    monkeypatch.setattr(cli, "run_experiment", with_nan)
+    out = tmp_path / "o"
+    code = main(["optimal-spacing", "--config", str(config_path), "--output", str(out)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError" and "not finite" in record["message"]
+    assert not (out / "optimal-spacing.csv").exists()
 
 
 def test_domain_error_exits_two(tmp_path, capsys):

@@ -208,6 +208,7 @@ class TestErrors:
         [
             ("frequency: .inf\nnum_elements: 4\nspacing: 0.01\nfocal_distance: 1\n", "frequency", 1),
             ("frequency: 1e400 Hz\nnum_elements: 4\nspacing: 0.01\nfocal_distance: 1\n", "frequency", 1),
+            ("frequency: 1e-300 Hz\nnum_elements: 4\nspacing: 1 lambda\nfocal_distance: 1\n", "frequency", 1),
             ("frequency: 6 GHz\nnum_elements: 4\nspacing: .inf\nfocal_distance: 1\n", "spacing", 3),
             ("frequency: 6 GHz\nnum_elements: 4\nspacing: -.inf\nfocal_distance: 1\n", "spacing", 3),
             ("frequency: 6 GHz\nnum_elements: 4\nspacing: .nan\nfocal_distance: 1\n", "spacing", 3),
@@ -220,7 +221,7 @@ class TestErrors:
             (BASE + "scan:\n  targets:\n    - 0\n    - -.inf\n", "scan.targets[1]", 8),
         ],
         ids=[
-            "frequency-inf", "frequency-1e400-unit", "spacing-inf", "spacing-minus-inf", "spacing-nan",
+            "frequency-inf", "frequency-1e400-unit", "frequency-infinite-wavelength", "spacing-inf", "spacing-minus-inf", "spacing-nan",
             "spacing-1e400", "spacing-400-digit-int", "focal_distance-inf", "axial-z_max-inf",
             "gain-span-1e400-lambda", "scan-target-flow-inf", "scan-target-block-minus-inf",
         ],

@@ -1,6 +1,8 @@
 """Effective degrees of freedom, spacing sweeps, and the closed-form optimum."""
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,14 @@ from hypothesis.extra.numpy import arrays
 from nearfocus import (
     ArraySpec,
     DegenerateChannelError,
+    ElementPattern,
     FocusScenario,
+    SingularDistanceError,
     channel_matrix,
     dof_sweep,
     effective_dof,
     optimal_spacing,
+    parse_config,
     wave_from_frequency,
 )
 
@@ -25,6 +30,17 @@ from _oracles import participation_ratio_svd
 @pytest.fixture
 def wave6():
     return wave_from_frequency(6e9)
+
+
+SHIPPED_SWEEP = Path(__file__).resolve().parents[1] / "configs" / "dof_sweep.yaml"
+
+
+def shipped_sweep(pattern: ElementPattern):
+    """Template scenario and spacing grid of configs/dof_sweep.yaml, as the runner builds them."""
+    cfg = dataclasses.replace(parse_config(SHIPPED_SWEEP.read_text()), pattern=pattern)
+    npts = int(round((cfg.sweep_stop - cfg.sweep_start) / cfg.sweep_step)) + 1
+    spacings = np.linspace(cfg.sweep_start, cfg.sweep_start + (npts - 1) * cfg.sweep_step, npts)
+    return cfg.scenario(), spacings
 
 
 def scenario_with_spacing(wave, spacing_wl: float) -> FocusScenario:
@@ -95,6 +111,38 @@ class TestEffectiveDof:
         h = channel_matrix(scenario_with_spacing(wave6, 1.2))
         assert effective_dof(h).effective_dof == effective_dof(h.entries).effective_dof
 
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200])
+    def test_extreme_scales_match_unit_scale(self, wave6, scale):
+        h = channel_matrix(scenario_with_spacing(wave6, 2.27)).entries
+        base = effective_dof(h).effective_dof
+        assert effective_dof(scale * h).effective_dof == pytest.approx(base, rel=1e-12)
+
+    def test_trace_form_matches_spectrum(self, wave6):
+        result = effective_dof(channel_matrix(scenario_with_spacing(wave6, 1.2)))
+        eig = result.eigenvalues
+        assert result.effective_dof == pytest.approx(eig.sum() ** 2 / np.sum(eig * eig), rel=1e-12)
+
+    def test_eigenvalues_are_lazy_and_cached(self, wave6):
+        result = effective_dof(channel_matrix(scenario_with_spacing(wave6, 1.2)))
+        assert "eigenvalues" not in vars(result)
+        assert result.eigenvalues is result.eigenvalues
+
+    @pytest.mark.parametrize("shape", [(9, 4), (4, 9)])
+    def test_eigenvalues_have_one_per_row(self, shape):
+        rng = np.random.default_rng(11)
+        h = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        result = effective_dof(h)
+        want = np.clip(np.linalg.eigvalsh(h @ h.conj().T)[::-1], 0.0, None)
+        assert result.eigenvalues.shape == (shape[0],)
+        np.testing.assert_array_equal(result.eigenvalues, want)
+        assert result.effective_dof == pytest.approx(participation_ratio_svd(h), rel=1e-12)
+
+    def test_non_finite_entries_rejected(self):
+        h = np.eye(3, dtype=complex)
+        h[1, 2] = math.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            effective_dof(h)
+
     def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegenerateChannelError):
             effective_dof(np.zeros((4, 4), dtype=complex))
@@ -138,6 +186,36 @@ class TestDofSweep:
         sweep = dof_sweep(scenario_with_spacing(wave6, 0.5), np.array([0.5, 1.0, 2.0]) * lam)
         assert sweep.dof_curve.shape == (3,)
         assert np.all(sweep.dof_curve >= 1.0)
+
+    @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
+    def test_curve_matches_per_spacing_channel(self, pattern):
+        template, spacings = shipped_sweep(pattern)
+        sweep = dof_sweep(template, spacings)
+        assert spacings.size == 391
+        for d, value in zip(spacings, sweep.dof_curve):
+            tx = dataclasses.replace(template.tx, spacing=float(d))
+            scen = FocusScenario(tx=tx, focal_distance=template.focal_distance, rx_num=tx.num_elements, rx_spacing=float(d))
+            assert value == pytest.approx(effective_dof(channel_matrix(scen)).effective_dof, rel=1e-12)
+        # the best spacing of the shipped config, 2.28 wavelengths, found by
+        # the per-spacing Gram-eigenvalue sweep this one replaced
+        assert sweep.best_spacing == spacings[218]
+
+    def test_reruns_are_bit_identical(self):
+        template, spacings = shipped_sweep(ElementPattern.PATCH)
+        first = dof_sweep(template, spacings)
+        assert np.array_equal(first.dof_curve, dof_sweep(template, spacings).dof_curve)
+
+    def test_single_element_sweep(self, wave6):
+        tx = ArraySpec(wave=wave6, num_elements=1, spacing=wave6.wavelength)
+        sweep = dof_sweep(FocusScenario(tx=tx, focal_distance=10.0 * wave6.wavelength), [0.5, 1.0])
+        np.testing.assert_array_equal(sweep.dof_curve, [1.0, 1.0])
+
+    def test_guard_failure_names_spacing(self, wave6):
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.5 * lam)
+        template = FocusScenario(tx=tx, focal_distance=0.005 * lam)
+        with pytest.raises(SingularDistanceError, match=r"sweep aborted at spacing 0\.001 m"):
+            dof_sweep(template, np.array([0.001, 0.002]))
 
     def test_rejects_bad_spacing_grids(self, wave6):
         template = scenario_with_spacing(wave6, 0.5)

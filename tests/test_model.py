@@ -37,6 +37,12 @@ def test_wave_rejects_nonpositive_frequency(bad):
         wave_from_frequency(bad)
 
 
+@pytest.mark.parametrize("low", [1e-300, 5e-324])
+def test_wave_rejects_frequency_with_infinite_wavelength(low):
+    with pytest.raises(ValueError, match="wavelength must be finite"):
+        wave_from_frequency(low)
+
+
 def test_positions_small_arrays():
     np.testing.assert_allclose(centered_positions(4, 2.0), [-3.0, -1.0, 1.0, 3.0])
     np.testing.assert_allclose(centered_positions(1, 0.7), [0.0])

@@ -168,6 +168,14 @@ class TestWriteTable:
             write_table(bad, "json", tmp_path / "t.json")
         assert not (tmp_path / "t.json").exists()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_csv_rejects_non_finite_values(self, tmp_path, bad):
+        table, _ = run_experiment(config_for("optimal-spacing"))
+        row = (5.0, 1.0, bad)
+        with pytest.raises(ValueError, match="spacing_over_lambda of row 4 is not finite"):
+            write_table(dataclasses.replace(table, rows=table.rows + (row,)), "csv", tmp_path / "t.csv")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_write_failure_names_path(self, tmp_path):
         table, _ = run_experiment(config_for("optimal-spacing"))
         bad = tmp_path / "missing_dir" / "t.csv"
