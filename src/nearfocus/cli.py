@@ -42,23 +42,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
-    except OSError as exc:
+        config = parse_config(Path(args.config).read_text())
+    except (OSError, ConfigError) as exc:
         return _error_record(EXIT_CONFIG, exc)
 
-    try:
-        config = parse_config(text)
-    except ConfigError as exc:
-        return _error_record(EXIT_CONFIG, exc)
-
-    overrides: dict = {"experiment": args.experiment}
-    if args.output is not None:
-        overrides["output_dir"] = args.output
-    if args.format is not None:
-        overrides["output_format"] = args.format
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    config = dataclasses.replace(config, **overrides)
+    # command-line flags override the config when given
+    flags = {"experiment": args.experiment, "output_dir": args.output,
+             "output_format": args.format, "seed": args.seed}
+    config = dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
 
     try:
         table, summary = run_experiment(config)

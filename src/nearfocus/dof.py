@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import FocusScenario, Wave, _finite_positive, element_positions
+from .model import FocusScenario, Wave, _ascending_grid, _finite_positive, _positive_int, element_positions
 from .field import ChannelMatrix, SingularDistanceError, _propagation
 
 
@@ -36,6 +36,13 @@ class DofResult:
         return np.clip(np.linalg.eigvalsh(h @ h.conj().T)[::-1], 0.0, None)
 
 
+def _sum_abs2(a: np.ndarray) -> float:
+    """Sum of |a|^2 over a complex matrix as row sums, then NumPy's pairwise sum. No
+    BLAS dot: it splits its sum across threads, so its last bits follow their count."""
+    parts = np.ascontiguousarray(a).view(np.float64)
+    return float(np.sum(np.einsum("ij,ij->i", parts, parts)))
+
+
 def effective_dof(channel) -> DofResult:
     """Participation ratio (sum s)^2 / sum s^2 of the channel Gram eigenvalues.
 
@@ -45,10 +52,7 @@ def effective_dof(channel) -> DofResult:
     eigendecomposition is needed. H is first divided by max|H|, which makes
     the result independent of its overall scale.
     """
-    if isinstance(channel, ChannelMatrix):
-        h = channel.entries
-    else:
-        h = np.asarray(channel, dtype=complex)
+    h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=complex)
     if h.ndim != 2 or h.size == 0:
         raise DegenerateChannelError(f"channel matrix must be 2-D and non-empty, got shape {h.shape}")
     peak = float(np.max(np.abs(h)))
@@ -58,8 +62,8 @@ def effective_dof(channel) -> DofResult:
         raise DegenerateChannelError("all Gram eigenvalues are zero")
     hs = h / peak
     gram = hs @ hs.conj().T if h.shape[0] <= h.shape[1] else hs.conj().T @ hs
-    trace = float(np.vdot(hs, hs).real)
-    return DofResult(effective_dof=trace * trace / float(np.vdot(gram, gram).real), entries=h)
+    trace = _sum_abs2(hs)
+    return DofResult(effective_dof=trace * trace / _sum_abs2(gram), entries=h)
 
 
 @dataclass(frozen=True)
@@ -82,13 +86,8 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
     m - n, and its 2N - 1 distinct entries come from the two strip-end
     samples. Ties on the maximum resolve to the smallest spacing.
     """
-    ds = np.asarray(spacings, dtype=float)
-    if ds.ndim != 1 or ds.size == 0:
-        raise ValueError("spacings must be a non-empty 1-D sequence")
-    if np.any(ds <= 0.0):
-        raise ValueError("spacings must be positive")
-    if np.any(np.diff(ds) <= 0.0):
-        raise ValueError("spacings must be strictly ascending")
+    ds = _ascending_grid("spacings", spacings, 1)
+    _finite_positive("smallest spacing", float(ds[0]))
     num = template.tx.num_elements
     # position of entry (m, n) in the lag vector, which runs from m - n = 1 - N to N - 1
     lags = np.subtract.outer(np.arange(num), np.arange(num)) + (num - 1)
@@ -116,9 +115,7 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
 def optimal_spacing(num_elements: int, focal_distance: float, wave: Wave, n: int = 1) -> float:
     """Closed-form spacing sqrt(n * lambda * z0 / N) that aligns the n-th
     focusing-gain null with the adjacent element offset."""
-    if not isinstance(num_elements, (int, np.integer)) or num_elements < 1:
-        raise ValueError(f"num_elements must be a positive integer, got {num_elements!r}")
+    _positive_int("num_elements", num_elements)
     _finite_positive("focal_distance", focal_distance)
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"null index n must be a positive integer, got {n!r}")
+    _positive_int("null index n", n)
     return math.sqrt(n * wave.wavelength * focal_distance / num_elements)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,8 +11,10 @@ from .model import (
     FocusScenario,
     Wave,
     _cos2,
+    _field_points,
     _finite_positive,
     _has_rolloff,
+    _require_finite,
     centered_positions,
     element_positions,
 )
@@ -83,8 +84,8 @@ def greens(r, wave: Wave):
     Parameters
     ----------
     r : float or ndarray
-        Source-to-field distance(s) in meters. Must stay at or above the
-        singularity guard of one hundredth of a wavelength.
+        Source-to-field distance(s) in meters. Must be finite and stay at or
+        above the singularity guard of one hundredth of a wavelength.
     wave : Wave
         Operating wave supplying the wavenumber.
 
@@ -94,6 +95,7 @@ def greens(r, wave: Wave):
         Field contribution per unit excitation.
     """
     rr = np.asarray(r, dtype=float)
+    _require_finite("distance r", rr)
     _check_distances(rr, wave, "greens")
     out = _green(rr, wave)
     if out.ndim == 0:
@@ -107,8 +109,7 @@ def conjugate_excitation(tx: ArraySpec, focus_x: float, focus_z: float) -> np.nd
     Each weight is exp(+j k r_n) with r_n the exact element-to-focus distance,
     so the propagation phase exp(-j k r_n) cancels at (focus_x, focus_z).
     """
-    if not math.isfinite(focus_x):
-        raise ValueError(f"focus_x must be finite, got {focus_x!r}")
+    _require_finite("focus_x", focus_x)
     _finite_positive("focus_z", focus_z)
     xn = element_positions(tx)
     r = np.hypot(focus_x - xn, focus_z)
@@ -127,7 +128,7 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         excitations of shape (T, num_elements).
     x, z : float or ndarray
         Field point coordinates in meters; broadcast against each other.
-        Heights must be positive.
+        Coordinates must be finite and heights positive.
 
     Returns
     -------
@@ -142,9 +143,7 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     n = tx.num_elements
     if exc.ndim not in (1, 2) or exc.shape[-1] != n:
         raise ValueError(f"excitation has shape {exc.shape}, expected ({n},) or (T, {n})")
-    xb, zb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
-    if np.any(zb <= 0.0):
-        raise ValueError("field height z must be positive")
+    xb, zb = _field_points(x, z)
     weights = exc.reshape(-1, n)
     total = np.empty((weights.shape[0], xb.size), dtype=complex)
     for rows, kernel in _propagation(tx, xb, zb, "field_at"):

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArraySpec, FocusScenario, Wave, _finite_positive
+from .model import ArraySpec, FocusScenario, Wave, _ascending_grid, _finite_positive, _positive_int, _require_finite
 from .field import conjugate_excitation, field_at
 
 LOBE_THRESHOLD_DB = -13.0
@@ -51,8 +52,6 @@ def _refine_max(x: np.ndarray, y: np.ndarray, index: int, log_domain: bool) -> t
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
     """Indices of strict-from-the-left interior local maxima."""
-    if len(y) < 3:
-        return np.array([], dtype=int)
     interior = (y[1:-1] > y[:-2]) & (y[1:-1] >= y[2:])
     return np.nonzero(interior)[0] + 1
 
@@ -81,11 +80,10 @@ class GainProfile:
         return float(positive[0])
 
 
-def _check_offsets(offsets: np.ndarray) -> None:
-    if offsets.ndim != 1 or offsets.size < 3:
-        raise ValueError("offsets must be a 1-D grid with at least three samples")
-    if np.any(np.diff(offsets) <= 0.0):
-        raise ValueError("offsets must be strictly ascending")
+def _symmetric_grid(n_side: int, step: float) -> np.ndarray:
+    """Samples k * step, k = -n_side..n_side; integer multiples of the step make
+    ``x[::-1] == -x`` hold bitwise and put the center sample exactly at zero."""
+    return np.arange(-n_side, n_side + 1, dtype=float) * step
 
 
 def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
@@ -106,8 +104,7 @@ def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
     GainProfile
         Gain samples with refined peak and refined local-minimum offsets.
     """
-    offs = np.asarray(offsets, dtype=float)
-    _check_offsets(offs)
+    offs = _ascending_grid("offsets", offsets, 3)
     exc = conjugate_excitation(tx, 0.0, z0)
     e = field_at(tx, exc, offs, z0)
     gain = np.abs(e) ** 2 / tx.num_elements
@@ -137,6 +134,18 @@ def _sine_ratio(num_elements: int, u: np.ndarray) -> np.ndarray:
     return ratio
 
 
+def _null_ladder(num_elements: int, spacing: float, z0: float, wave: Wave, reach: float = math.inf):
+    """Ascending small-angle null offsets m * step, step = lambda * z0 / (N d), for
+    integers 1 <= m <= reach / step that are not multiples of N (one element has none)."""
+    _positive_int("num_elements", num_elements)
+    _finite_positive("spacing", spacing)
+    _finite_positive("z0", z0)
+    null_step = wave.wavelength * z0 / (num_elements * spacing)
+    max_m = reach / null_step if num_elements > 1 else 0.0
+    ms = itertools.takewhile(lambda m: m <= max_m, itertools.count(1))
+    return (m * null_step for m in ms if m % num_elements != 0)
+
+
 def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offsets) -> GainProfile:
     """Small-angle focusing gain G = (1/N) [sin(N u) / sin(u)]^2, u = k d delta / (2 z0).
 
@@ -145,29 +154,20 @@ def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offs
     offsets are analytic: integer multiples of lambda z0 / (N d), skipping
     multiples of N where the pattern peaks instead of vanishing.
     """
-    offs = np.asarray(offsets, dtype=float)
-    _check_offsets(offs)
-    _finite_positive("z0", z0)
-    _finite_positive("spacing", spacing)
+    offs = _ascending_grid("offsets", offsets, 3)
+    ladder = _null_ladder(num_elements, spacing, z0, wave, max(abs(float(offs[0])), abs(float(offs[-1]))))
     ratio = _sine_ratio(num_elements, 0.5 * wave.wavenumber * spacing * offs / z0)
     gain = ratio * ratio / num_elements
     ipk = int(np.argmax(gain))
     peak_offset, peak_gain = _refine_max(offs, gain, ipk, log_domain=True)
-    null_step = wave.wavelength * z0 / (num_elements * spacing)
-    max_m = int(math.floor(max(abs(float(offs[0])), abs(float(offs[-1]))) / null_step))
-    nulls = [
-        sign * m * null_step
-        for m in range(1, max_m + 1)
-        if m % num_elements != 0
-        for sign in (-1.0, 1.0)
-        if offs[0] <= sign * m * null_step <= offs[-1]
-    ]
+    positive = np.fromiter(ladder, dtype=float)
+    nulls = np.concatenate((-positive[::-1], positive))
     return GainProfile(
         offsets=offs,
         gain=gain,
         peak_offset=peak_offset,
         peak_gain=peak_gain,
-        null_offsets=np.asarray(sorted(nulls), dtype=float),
+        null_offsets=nulls[(offs[0] <= nulls) & (nulls <= offs[-1])],
     )
 
 
@@ -175,19 +175,13 @@ def null_offsets_analytic(num_elements: int, spacing: float, z0: float, wave: Wa
     """First ``count`` positive small-angle null offsets m * lambda * z0 / (N d).
 
     Multiples of N are skipped; there the array factor re-peaks instead of
-    vanishing.
+    vanishing. A single element has no nulls, so N = 1 raises ValueError.
     """
-    if count < 1:
-        raise ValueError(f"count must be a positive integer, got {count!r}")
-    null_step = wave.wavelength * z0 / (num_elements * spacing)
-    out = []
-    m = 0
-    while len(out) < count:
-        m += 1
-        if m % num_elements == 0:
-            continue
-        out.append(m * null_step)
-    return np.asarray(out, dtype=float)
+    _positive_int("count", count)
+    ladder = _null_ladder(num_elements, spacing, z0, wave)
+    if num_elements == 1:
+        raise ValueError("a single element has no nulls")
+    return np.fromiter(ladder, dtype=float, count=count)
 
 
 @dataclass(frozen=True)
@@ -225,7 +219,7 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
         Intended focal x positions, finite and all within the strip.
     strip_resolution : int
         Field samples per wavelength along the strip, at least 8. The strip
-        is sampled on a symmetric grid that always contains x = 0.
+        is sampled on an exactly mirror-symmetric grid that contains x = 0.
 
     Returns
     -------
@@ -236,8 +230,7 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     tgts = np.atleast_1d(np.asarray(targets, dtype=float))
     if tgts.ndim != 1 or tgts.size == 0:
         raise ValueError("targets must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(tgts)):
-        raise ValueError(f"targets must be finite, got {tgts.tolist()!r}")
+    _require_finite("targets", tgts)
     tx = scenario.tx
     z0 = scenario.focal_distance
     half = 0.5 * scenario.strip_extent
@@ -245,7 +238,7 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
         worst = float(tgts[np.argmax(np.abs(tgts))])
         raise ValueError(f"target {worst:.6g} m lies outside the strip half-extent {half:.6g} m")
     n_side = math.ceil(half * strip_resolution / tx.wave.wavelength)
-    xs = np.linspace(-half, half, 2 * n_side + 1)
+    xs = _symmetric_grid(n_side, half / n_side)
     excitations = np.stack([conjugate_excitation(tx, float(xt), z0) for xt in tgts])
     fields = np.abs(field_at(tx, excitations, xs, z0))
 

@@ -27,6 +27,38 @@ def _finite_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
+def _positive_int(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer of at least one."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
+def _require_finite(name: str, values) -> None:
+    """Raise ValueError unless every entry of ``values`` is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _field_points(x, z) -> tuple[np.ndarray, np.ndarray]:
+    """Broadcast field coordinates to float arrays; both must be finite and z positive."""
+    xb, zb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
+    _require_finite("field points", (xb, zb))
+    if np.any(zb <= 0.0):
+        raise ValueError("field height z must be positive")
+    return xb, zb
+
+
+def _ascending_grid(name: str, values, min_size: int) -> np.ndarray:
+    """``values`` as a finite, increasing 1-D float grid of ``min_size`` or more samples."""
+    grid = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or grid.size < min_size:
+        raise ValueError(f"{name} must be a 1-D grid of {min_size} or more samples")
+    _require_finite(name, grid)
+    if not np.all(np.diff(grid) > 0.0):
+        raise ValueError(f"{name} must be strictly ascending")
+    return grid
+
+
 def wave_from_frequency(frequency: float) -> Wave:
     """Build a :class:`Wave` from its frequency in hertz; its wavelength must be finite."""
     _finite_positive("frequency", frequency)
@@ -58,8 +90,7 @@ class ArraySpec:
     pattern: ElementPattern = ElementPattern.ISOTROPIC
 
     def __post_init__(self) -> None:
-        if not isinstance(self.num_elements, (int, np.integer)) or self.num_elements < 1:
-            raise ValueError(f"num_elements must be a positive integer, got {self.num_elements!r}")
+        _positive_int("num_elements", self.num_elements)
         _finite_positive("spacing", self.spacing)
 
     @property
@@ -87,8 +118,7 @@ class FocusScenario:
             object.__setattr__(self, "rx_num", self.tx.num_elements)
         if self.rx_spacing is None:
             object.__setattr__(self, "rx_spacing", self.tx.spacing)
-        if not isinstance(self.rx_num, (int, np.integer)) or self.rx_num < 1:
-            raise ValueError(f"rx_num must be a positive integer, got {self.rx_num!r}")
+        _positive_int("rx_num", self.rx_num)
         _finite_positive("rx_spacing", self.rx_spacing)
 
     @property
@@ -131,11 +161,8 @@ def pattern_factor(pattern, x_source, x_field, z):
 
     Inputs broadcast; scalar inputs return a float.
     """
-    dx = np.asarray(x_field, dtype=float) - np.asarray(x_source, dtype=float)
-    zz = np.asarray(z, dtype=float)
-    if np.any(zz <= 0.0):
-        raise ValueError("field height z must be positive")
-    cos2 = _cos2(dx, zz)
+    xf, zz = _field_points(x_field, z)
+    cos2 = _cos2(xf - np.asarray(x_source, dtype=float), zz)
     out = cos2 if _has_rolloff(pattern) else np.ones_like(cos2)
     if out.ndim == 0:
         return float(out)

@@ -14,7 +14,7 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, serialize_config
 from .dof import dof_sweep, optimal_spacing
-from .focusing import _sine_ratio, axial_profile, gain_exact, gain_paraxial, scan_focal_points
+from .focusing import _sine_ratio, _symmetric_grid, axial_profile, gain_exact, gain_paraxial, scan_focal_points
 
 _TINY = 1e-300  # keeps logs finite when a sampled profile value underflows to zero
 
@@ -26,12 +26,6 @@ class ResultTable:
     columns: tuple[str, ...]
     rows: tuple[tuple[float, ...], ...]
     metadata: dict
-
-
-def _symmetric_grid(half_span: float, step: float) -> np.ndarray:
-    # integer multiples of the step keep the center sample exactly at zero
-    n_side = max(1, round(half_span / step))
-    return np.arange(-n_side, n_side + 1, dtype=float) * step
 
 
 def _metadata(config: ExperimentConfig) -> dict:
@@ -57,12 +51,9 @@ def _metadata(config: ExperimentConfig) -> dict:
     return md
 
 
-def _db_power(value: float, reference: float) -> float:
-    return 10.0 * math.log10(max(value, _TINY) / reference)
-
-
-def _db_field(value: float, reference: float) -> float:
-    return 20.0 * math.log10(max(value, _TINY) / reference)
+def _db(value: float, reference: float, per_decade: float) -> float:
+    """``per_decade`` is 10 for a power ratio and 20 for a field ratio."""
+    return per_decade * math.log10(max(value, _TINY) / reference)
 
 
 def _run_optimal_spacing(config: ExperimentConfig):
@@ -119,7 +110,7 @@ def _run_dof_sweep(config: ExperimentConfig):
 def _run_gain_profile(config: ExperimentConfig):
     wave = config.wave
     scenario = config.scenario()
-    offsets = _symmetric_grid(config.gain_span, config.gain_step)
+    offsets = _symmetric_grid(max(1, round(config.gain_span / config.gain_step)), config.gain_step)
     exact = gain_exact(scenario.tx, config.focal_distance, offsets)
     parax = gain_paraxial(
         config.num_elements, config.spacing, config.focal_distance, wave, offsets
@@ -128,8 +119,8 @@ def _run_gain_profile(config: ExperimentConfig):
         (
             float(o),
             float(o / wave.wavelength),
-            _db_power(ge, exact.peak_gain),
-            _db_power(gp, parax.peak_gain),
+            _db(ge, exact.peak_gain, 10.0),
+            _db(gp, parax.peak_gain, 10.0),
         )
         for o, ge, gp in zip(offsets, exact.gain, parax.gain)
     ]
@@ -155,7 +146,7 @@ def _run_scan(config: ExperimentConfig):
             float(xt),
             float(xp),
             float(err),
-            _db_field(mag, reference),
+            _db(mag, reference, 20.0),
             float(count),
         )
         for xt, (xp, mag), err, count in zip(
@@ -184,7 +175,7 @@ def _run_axial(config: ExperimentConfig):
     )
     reference = float(np.max(profile.magnitude))
     rows = [
-        (float(z), float(z / wave.wavelength), _db_field(float(m), reference))
+        (float(z), float(z / wave.wavelength), _db(float(m), reference, 20.0))
         for z, m in zip(profile.z_samples, profile.magnitude)
     ]
     summary = {

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,22 @@ def shipped_sweep(pattern: ElementPattern):
 def scenario_with_spacing(wave, spacing_wl: float) -> FocusScenario:
     tx = ArraySpec(wave=wave, num_elements=40, spacing=spacing_wl * wave.wavelength)
     return FocusScenario(tx=tx, focal_distance=200.0 * wave.wavelength)
+
+
+# prints the bytes of an N=128 patch sweep curve and of an N=256 DoF
+THREAD_PROBE = """
+import sys
+import numpy as np
+from nearfocus import ArraySpec, ElementPattern, FocusScenario, channel_matrix, dof_sweep, effective_dof, wave_from_frequency
+wave = wave_from_frequency(6e9)
+lam = wave.wavelength
+def scenario(num):
+    tx = ArraySpec(wave=wave, num_elements=num, spacing=0.5 * lam, pattern=ElementPattern.PATCH)
+    return FocusScenario(tx=tx, focal_distance=200.0 * lam)
+curve = dof_sweep(scenario(128), np.linspace(0.1, 4.0, 391) * lam).dof_curve
+dof = effective_dof(channel_matrix(scenario(256))).effective_dof
+sys.stdout.write(curve.tobytes().hex() + " " + np.float64(dof).tobytes().hex())
+"""
 
 
 complex_matrices = arrays(
@@ -111,6 +130,13 @@ class TestEffectiveDof:
         h = channel_matrix(scenario_with_spacing(wave6, 1.2))
         assert effective_dof(h).effective_dof == effective_dof(h.entries).effective_dof
 
+    @pytest.mark.parametrize("shape", [(40, 40), (9, 4), (4, 9)])
+    def test_any_memory_layout_or_dtype(self, wave6, shape):
+        h = channel_matrix(scenario_with_spacing(wave6, 1.2)).entries[: shape[0], : shape[1]]
+        want = effective_dof(np.ascontiguousarray(h)).effective_dof
+        for layout in (np.asfortranarray(h), h[::-1, ::-1], h.astype(np.complex64)):
+            assert effective_dof(layout).effective_dof == pytest.approx(want, rel=1e-6)
+
     @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e-200])
     def test_extreme_scales_match_unit_scale(self, wave6, scale):
         h = channel_matrix(scenario_with_spacing(wave6, 2.27)).entries
@@ -142,6 +168,18 @@ class TestEffectiveDof:
         h[1, 2] = math.nan
         with pytest.raises(ValueError, match="non-finite"):
             effective_dof(h)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # the BLAS thread count is read at import, so each count runs in its own process
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_zero_matrix_is_degenerate(self):
         with pytest.raises(DegenerateChannelError):
@@ -223,8 +261,13 @@ class TestDofSweep:
             dof_sweep(template, np.array([]))
         with pytest.raises(ValueError):
             dof_sweep(template, np.array([0.02, 0.01]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            dof_sweep(template, np.array([0.01, 0.01]))
         with pytest.raises(ValueError):
             dof_sweep(template, np.array([-0.01, 0.01]))
+        for bad in ([0.01, math.nan], [math.nan], [0.01, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                dof_sweep(template, np.array(bad))
 
 
 class TestOptimalSpacing:

@@ -67,6 +67,12 @@ class TestGreens:
         # exactly at the guard is allowed
         greens(0.01 * wave.wavelength, wave)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan])])
+    def test_rejects_non_finite_distance(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            greens(bad, make_wave(0.05))
+
     def test_guard_reports_offending_distance(self):
         wave = make_wave(0.05)
         with pytest.raises(SingularDistanceError, match="guard"):
@@ -160,6 +166,17 @@ class TestFieldAt:
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
         with pytest.raises(ValueError):
             field_at(tx, np.ones(4, dtype=complex), 0.0, -1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("point", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf)])
+    def test_rejects_non_finite_point(self, wave6, point):
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
+        with pytest.raises(ValueError, match="finite"):
+            field_at(tx, np.ones(4, dtype=complex), *point)
+        # one bad sample among good ones, in a stacked call
+        x = np.array([0.0, point[0], 0.1])
+        with pytest.raises(ValueError, match="finite"):
+            field_at(tx, np.ones((2, 4), dtype=complex), x, np.array([1.0, point[1], 1.0]))
 
     def test_guard_identifies_singular_point(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)

@@ -22,7 +22,7 @@ from nearfocus import (
     scan_focal_points,
     wave_from_frequency,
 )
-from nearfocus.focusing import _parabola_vertex, _refine_max
+from nearfocus.focusing import _parabola_vertex, _refine_max, _symmetric_grid
 
 from _oracles import golden_max, field_magnitude
 
@@ -97,6 +97,13 @@ class TestGainExact:
             gain_exact(tx, 1.0, np.array([0.0, 0.1]))
         with pytest.raises(ValueError):
             gain_exact(tx, 1.0, np.array([0.1, 0.0, 0.2]))
+        with pytest.raises(ValueError, match="strictly ascending"):
+            gain_exact(tx, 1.0, np.array([0.0, 0.1, 0.1, 0.2]))
+        for bad in ([0.0, math.nan, 0.2], [-math.inf, 0.0, 0.2], [0.0, 0.1, math.inf]):
+            with pytest.raises(ValueError, match="finite"):
+                gain_exact(tx, 1.0, np.array(bad))
+            with pytest.raises(ValueError, match="finite"):
+                gain_paraxial(40, tx.spacing, 1.0, wave6, np.array(bad))
 
 
 class TestGainParaxial:
@@ -183,6 +190,69 @@ class TestNullLadder:
     def test_requires_positive_count(self, wave6):
         with pytest.raises(ValueError):
             null_offsets_analytic(4, 0.01, 1.0, wave6, count=0)
+        with pytest.raises(ValueError, match="count must be a positive integer"):
+            null_offsets_analytic(4, 0.01, 1.0, wave6, count=2.5)
+
+    def test_single_element_has_no_nulls(self, wave6):
+        # every m is a multiple of one, so no null exists to return
+        with pytest.raises(ValueError, match="single element"):
+            null_offsets_analytic(1, 0.01, 1.0, wave6, count=3)
+        profile = gain_paraxial(1, 0.01, 1.0, wave6, np.linspace(-0.5, 0.5, 101))
+        assert profile.null_offsets.shape == (0,)
+        np.testing.assert_allclose(profile.gain, 1.0, rtol=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("num", [0, -3, 2.5])
+    def test_rejects_bad_element_counts(self, wave6, num):
+        offs = np.linspace(-0.1, 0.1, 21)
+        with pytest.raises(ValueError, match="num_elements must be a positive integer"):
+            gain_paraxial(num, 0.01, 1.0, wave6, offs)
+        with pytest.raises(ValueError, match="num_elements must be a positive integer"):
+            null_offsets_analytic(num, 0.01, 1.0, wave6, count=3)
+
+    @pytest.mark.parametrize("num", [2, 3, 4, 40])
+    @pytest.mark.parametrize("grid", ["linspace", "nulls-on-ends", "one-sided", "fine"])
+    def test_ladder_matches_inline_reference(self, wave6, num, grid):
+        # the two inline ladders the shared one replaced, kept as the reference
+        lam = wave6.wavelength
+        d, z0 = 0.7 * lam, 150.0 * lam
+        step = lam * z0 / (num * d)
+        offs = {
+            "linspace": np.linspace(-9.3 * step, 9.3 * step, 301),
+            "nulls-on-ends": np.arange(-23, 24) * step,
+            "one-sided": np.linspace(1.5 * step, 17.0 * step, 50),
+            "fine": np.arange(-400, 401) * (0.03 * step),
+        }[grid]
+        max_m = int(math.floor(max(abs(float(offs[0])), abs(float(offs[-1]))) / step))
+        expected = sorted(
+            sign * m * step
+            for m in range(1, max_m + 1)
+            if m % num != 0
+            for sign in (-1.0, 1.0)
+            if offs[0] <= sign * m * step <= offs[-1]
+        )
+        got = gain_paraxial(num, d, z0, wave6, offs).null_offsets
+        assert np.array_equal(got, np.asarray(expected, dtype=float))
+        first = []
+        m = 0
+        while len(first) < 12:
+            m += 1
+            if m % num != 0:
+                first.append(m * step)
+        assert np.array_equal(null_offsets_analytic(num, d, z0, wave6, count=12), np.asarray(first))
+
+
+class TestSymmetricGrid:
+    @pytest.mark.parametrize("n_side", [1, 2, 7, 8, 3621, 3622])
+    def test_exact_mirror_with_zero_center(self, n_side):
+        # the scan's step: the strip half-extent over n_side
+        half = 0.5 * 1024 * 2.27 * 0.049965409666666664
+        xs = _symmetric_grid(n_side, half / n_side)
+        assert xs.shape == (2 * n_side + 1,)
+        assert np.array_equal(xs[::-1], -xs)
+        assert 0.0 in xs and xs[n_side] == 0.0
+        assert np.all(np.diff(xs) > 0.0)
+        assert xs[-1] == pytest.approx(half, rel=1e-14)
 
 
 class TestScan:
@@ -259,7 +329,7 @@ class TestScan:
         report = scan_focal_points(scen, targets)
         half = 0.5 * scen.strip_extent
         n_side = math.ceil(half * 16 / lam)
-        xs = np.linspace(-half, half, 2 * n_side + 1)
+        xs = _symmetric_grid(n_side, half / n_side)
         for xt, peak in zip(targets, report.achieved_peaks):
             mag = np.abs(field_at(tx, conjugate_excitation(tx, xt, z0), xs, z0))
             assert peak == _refine_max(xs, mag, int(np.argmax(mag)), log_domain=True)

@@ -161,3 +161,20 @@ def test_pattern_factor_rejects_nonpositive_height():
         pattern_factor(ElementPattern.PATCH, 0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
         pattern_factor(ElementPattern.ISOTROPIC, 0.0, 1.0, -2.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
+@pytest.mark.parametrize("point", [(1.0, math.nan), (1.0, math.inf), (math.nan, 1.0), (math.inf, 1.0)])
+def test_pattern_factor_rejects_non_finite_point(pattern, point):
+    with pytest.raises(ValueError, match="finite"):
+        pattern_factor(pattern, 0.0, *point)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, "4"])
+def test_integer_counts_are_validated(wave6, bad):
+    with pytest.raises(ValueError, match="must be a positive integer"):
+        ArraySpec(wave=wave6, num_elements=bad, spacing=0.01)
+    tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
+    with pytest.raises(ValueError, match="rx_num must be a positive integer"):
+        FocusScenario(tx=tx, focal_distance=1.0, rx_num=bad)
