@@ -14,7 +14,10 @@ from itertools import groupby
 
 import yaml
 
-from .model import ArraySpec, ElementPattern, FocusScenario, Wave, wave_from_frequency
+from .focusing import _MIN_AXIAL_SAMPLES, _MIN_STRIP_RESOLUTION
+from .model import (
+    ArraySpec, ElementPattern, FocusScenario, Wave, _finite_positive, _int_at_least, _require_finite, wave_from_frequency,
+)
 
 EXPERIMENTS = ("dof-sweep", "gain-profile", "scan", "axial", "optimal-spacing")
 
@@ -85,10 +88,10 @@ class ExperimentConfig:
         "scan.targets", "targets", lambda v: tuple(m * v["rx_spacing"] for m in (-10, -5, 0, 5, 10)),
         choices=("paper-default",),
     )
-    scan_resolution: int = _key("scan.resolution", "int", 16, minimum=8)
+    scan_resolution: int = _key("scan.resolution", "int", 16, minimum=_MIN_STRIP_RESOLUTION)
     axial_z_min: float = _key("axial.z_min", "length", lambda v: 0.1 * v["focal_distance"])
     axial_z_max: float = _key("axial.z_max", "length", lambda v: 2.0 * v["focal_distance"])
-    axial_samples: int = _key("axial.samples", "int", 2001, minimum=3)
+    axial_samples: int = _key("axial.samples", "int", 2001, minimum=_MIN_AXIAL_SAMPLES)
     output_dir: str = _key("output.directory", "path", "out")
     output_format: str = _key("output.format", "choice", "csv", choices=("csv", "json"))
     seed: int | None = _key("seed", "int", None, minimum=0)
@@ -153,14 +156,21 @@ def _mapping_items(node, context: str, allowed: list[str]) -> dict[str, tuple[in
         if not isinstance(key_node, yaml.ScalarNode):
             raise ConfigError(context, _line(key_node), "keys must be plain scalars")
         key = str(key_node.value)
+        label = key if context == "config" else f"{context}.{key}"
         if key in out:
-            raise ConfigError(f"{context}.{key}" if context != "config" else key, _line(key_node), "duplicate key")
-        out[key] = (_line(key_node), value_node)
-    for key, (line, _) in out.items():
+            raise ConfigError(label, _line(key_node), "duplicate key")
         if key not in allowed:
-            label = key if context == "config" else f"{context}.{key}"
-            raise ConfigError(label, line, f"unknown key; allowed keys are {', '.join(allowed)}")
+            raise ConfigError(label, _line(key_node), f"unknown key; allowed keys are {', '.join(allowed)}")
+        out[key] = (_line(key_node), value_node)
     return out
+
+
+def _check(key: str, line: int, validate, *args) -> None:
+    """Run a model validator; its ValueError becomes a ConfigError at ``key`` and ``line``."""
+    try:
+        validate(*args)
+    except ValueError as exc:
+        raise ConfigError(key, line, str(exc)) from None
 
 
 def _parse_quantity(raw, key: str, line: int, kind: str, units: dict, *, positive: bool = True) -> float:
@@ -174,8 +184,8 @@ def _parse_quantity(raw, key: str, line: int, kind: str, units: dict, *, positiv
             value = float(match.group(1)) * units[unit]
         except ValueError:
             raise ConfigError(key, line, f"cannot parse number in {raw!r}")
-    elif isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-        # YAML 1.1 leaves exponents like 6.0e9 unresolved; accept them in base units
+    elif type(raw) in (int, float, str):
+        # exact types keep bool out; YAML 1.1 leaves exponents like 6.0e9 unresolved, read in base units
         try:
             value = float(raw)
         except ValueError:
@@ -184,10 +194,7 @@ def _parse_quantity(raw, key: str, line: int, kind: str, units: dict, *, positiv
             value = math.inf
     else:
         raise ConfigError(key, line, f"expected a {kind}, got {type(raw).__name__}")
-    if not math.isfinite(value):
-        raise ConfigError(key, line, f"must be finite, got {value}")
-    if positive and not value > 0.0:
-        raise ConfigError(key, line, f"must be positive, got {value}")
+    _check(key, line, _finite_positive if positive else _require_finite, key, value)
     return value
 
 
@@ -206,18 +213,12 @@ def _parse_value(spec, node, line: int, values: dict):
     raw = _construct(node)
     if kind == "frequency":
         value = _parse_quantity(raw, key, line, kind, _FREQUENCY_UNITS)
-        try:
-            wave_from_frequency(value)
-        except ValueError as exc:
-            raise ConfigError(key, line, str(exc))
+        _check(key, line, wave_from_frequency, value)
         return value
     if kind == "length":
         return _parse_quantity(raw, key, line, kind, _length_units(values))
     if kind == "int":
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise ConfigError(key, line, f"expected an integer, got {raw!r}")
-        if raw < spec["minimum"]:
-            raise ConfigError(key, line, f"must be at least {spec['minimum']}, got {raw}")
+        _check(key, line, _int_at_least, key, raw, spec["minimum"])
         return raw
     if kind == "path":
         if not isinstance(raw, str) or not raw:

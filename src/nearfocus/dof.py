@@ -8,7 +8,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import FocusScenario, Wave, _ascending_grid, _finite_positive, _positive_int, element_positions
+from .model import FocusScenario, Wave, _ascending_grid, _finite_positive, _int_at_least, element_positions
 from .field import ChannelMatrix, SingularDistanceError, _propagation
 
 
@@ -115,7 +115,7 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
 def optimal_spacing(num_elements: int, focal_distance: float, wave: Wave, n: int = 1) -> float:
     """Closed-form spacing sqrt(n * lambda * z0 / N) that aligns the n-th
     focusing-gain null with the adjacent element offset."""
-    _positive_int("num_elements", num_elements)
+    _int_at_least("num_elements", num_elements)
     _finite_positive("focal_distance", focal_distance)
-    _positive_int("null index n", n)
+    _int_at_least("null index n", n)
     return math.sqrt(n * wave.wavelength * focal_distance / num_elements)

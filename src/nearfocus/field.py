@@ -143,6 +143,7 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     n = tx.num_elements
     if exc.ndim not in (1, 2) or exc.shape[-1] != n:
         raise ValueError(f"excitation has shape {exc.shape}, expected ({n},) or (T, {n})")
+    _require_finite("excitation", exc)
     xb, zb = _field_points(x, z)
     weights = exc.reshape(-1, n)
     total = np.empty((weights.shape[0], xb.size), dtype=complex)

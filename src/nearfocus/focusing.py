@@ -8,11 +8,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArraySpec, FocusScenario, Wave, _ascending_grid, _finite_positive, _positive_int, _require_finite
+from .model import ArraySpec, FocusScenario, Wave, _ascending_grid, _finite_positive, _int_at_least, _require_finite
 from .field import conjugate_excitation, field_at
 
 LOBE_THRESHOLD_DB = -13.0
 """Secondary maxima within this range of the main peak are reported as lobes."""
+
+_MIN_STRIP_RESOLUTION = 8  # least strip samples per wavelength; the config schema reads it
+_MIN_AXIAL_SAMPLES = 3  # least depth samples of an axial profile; the config schema reads it
 
 
 def _parabola_vertex(y0: float, y1: float, y2: float) -> tuple[float, float]:
@@ -104,6 +107,7 @@ def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
     GainProfile
         Gain samples with refined peak and refined local-minimum offsets.
     """
+    _finite_positive("z0", z0)
     offs = _ascending_grid("offsets", offsets, 3)
     exc = conjugate_excitation(tx, 0.0, z0)
     e = field_at(tx, exc, offs, z0)
@@ -136,13 +140,13 @@ def _sine_ratio(num_elements: int, u: np.ndarray) -> np.ndarray:
 
 def _null_ladder(num_elements: int, spacing: float, z0: float, wave: Wave, reach: float = math.inf):
     """Ascending small-angle null offsets m * step, step = lambda * z0 / (N d), for
-    integers 1 <= m <= reach / step that are not multiples of N (one element has none)."""
-    _positive_int("num_elements", num_elements)
+    integers m >= 1 with m * step <= reach that are not multiples of N (one element has none)."""
+    _int_at_least("num_elements", num_elements)
     _finite_positive("spacing", spacing)
     _finite_positive("z0", z0)
     null_step = wave.wavelength * z0 / (num_elements * spacing)
-    max_m = reach / null_step if num_elements > 1 else 0.0
-    ms = itertools.takewhile(lambda m: m <= max_m, itertools.count(1))
+    _finite_positive("null step", null_step)
+    ms = itertools.takewhile(lambda m: num_elements > 1 and m * null_step <= reach, itertools.count(1))
     return (m * null_step for m in ms if m % num_elements != 0)
 
 
@@ -177,7 +181,7 @@ def null_offsets_analytic(num_elements: int, spacing: float, z0: float, wave: Wa
     Multiples of N are skipped; there the array factor re-peaks instead of
     vanishing. A single element has no nulls, so N = 1 raises ValueError.
     """
-    _positive_int("count", count)
+    _int_at_least("count", count)
     ladder = _null_ladder(num_elements, spacing, z0, wave)
     if num_elements == 1:
         raise ValueError("a single element has no nulls")
@@ -218,15 +222,14 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     targets : ndarray
         Intended focal x positions, finite and all within the strip.
     strip_resolution : int
-        Field samples per wavelength along the strip, at least 8. The strip
-        is sampled on an exactly mirror-symmetric grid that contains x = 0.
+        Field samples per wavelength, an integer (not a bool or float) of at
+        least 8, on an exactly mirror-symmetric strip grid that contains x = 0.
 
     Returns
     -------
     ScanReport
     """
-    if strip_resolution < 8:
-        raise ValueError(f"strip_resolution must be at least 8 samples per wavelength, got {strip_resolution!r}")
+    _int_at_least("strip_resolution", strip_resolution, _MIN_STRIP_RESOLUTION)
     tgts = np.atleast_1d(np.asarray(targets, dtype=float))
     if tgts.ndim != 1 or tgts.size == 0:
         raise ValueError("targets must be a non-empty 1-D sequence")
@@ -293,17 +296,16 @@ class AxialProfile:
 def axial_profile(scenario: FocusScenario, z_range: tuple[float, float], samples: int = 2001) -> AxialProfile:
     """Sample |E(0, z)| over a depth range for the center-focused array.
 
-    The range must bracket the focal distance; the excitation stays fixed to
-    the conjugate phases for (0, z0) while z varies.
+    The range (z_min, z_max) must be finite, positive, ascending and bracket
+    the focal distance, and ``samples`` an integer (not a bool or float) of at
+    least 3. The excitation stays fixed to the conjugate phases for (0, z0).
     """
-    z_min, z_max = (float(z_range[0]), float(z_range[1]))
-    if not 0.0 < z_min < z_max:
-        raise ValueError(f"z_range must satisfy 0 < z_min < z_max, got ({z_min!r}, {z_max!r})")
+    z_min, z_max = map(float, _ascending_grid("z_range", z_range, 2))
+    _finite_positive("z_min", z_min)
     z0 = scenario.focal_distance
     if not z_min <= z0 <= z_max:
         raise ValueError(f"z_range ({z_min:.6g}, {z_max:.6g}) must include the focal distance {z0:.6g}")
-    if samples < 3:
-        raise ValueError(f"samples must be at least 3, got {samples!r}")
+    _int_at_least("samples", samples, _MIN_AXIAL_SAMPLES)
     zs = np.linspace(z_min, z_max, samples)
     exc = conjugate_excitation(scenario.tx, 0.0, z0)
     mag = np.abs(field_at(scenario.tx, exc, 0.0, zs))

@@ -27,10 +27,10 @@ def _finite_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def _positive_int(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer of at least one."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _int_at_least(name: str, value, minimum: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an int or NumPy integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _require_finite(name: str, values) -> None:
@@ -90,7 +90,7 @@ class ArraySpec:
     pattern: ElementPattern = ElementPattern.ISOTROPIC
 
     def __post_init__(self) -> None:
-        _positive_int("num_elements", self.num_elements)
+        _int_at_least("num_elements", self.num_elements)
         _finite_positive("spacing", self.spacing)
 
     @property
@@ -118,7 +118,7 @@ class FocusScenario:
             object.__setattr__(self, "rx_num", self.tx.num_elements)
         if self.rx_spacing is None:
             object.__setattr__(self, "rx_spacing", self.tx.spacing)
-        _positive_int("rx_num", self.rx_num)
+        _int_at_least("rx_num", self.rx_num)
         _finite_positive("rx_spacing", self.rx_spacing)
 
     @property
@@ -162,7 +162,9 @@ def pattern_factor(pattern, x_source, x_field, z):
     Inputs broadcast; scalar inputs return a float.
     """
     xf, zz = _field_points(x_field, z)
-    cos2 = _cos2(xf - np.asarray(x_source, dtype=float), zz)
+    xs = np.asarray(x_source, dtype=float)
+    _require_finite("x_source", xs)
+    cos2 = _cos2(xf - xs, zz)
     out = cos2 if _has_rolloff(pattern) else np.ones_like(cos2)
     if out.ndim == 0:
         return float(out)

@@ -217,12 +217,6 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultTable, dict]:
     return table, summary
 
 
-def _format_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_table(table: ResultTable, fmt: str, destination) -> Path:
     """Write a result table as CSV or JSON; reruns are byte-identical.
 
@@ -239,7 +233,7 @@ def write_table(table: ResultTable, fmt: str, destination) -> Path:
                     raise ValueError(f"CSV cell {column} of row {i} is not finite: {value!r}")
         lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
         lines.append(",".join(table.columns))
-        lines.extend(",".join(_format_value(v) for v in row) for row in table.rows)
+        lines.extend(",".join(map(str, row)) for row in table.rows)
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         payload = {

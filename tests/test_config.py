@@ -1,16 +1,22 @@
 """YAML experiment configuration: units, defaults, errors, round-trip."""
 
+import math
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nearfocus import (
+    ArraySpec,
     ConfigError,
     ElementPattern,
     ExperimentConfig,
+    FocusScenario,
+    axial_profile,
     parse_config,
+    scan_focal_points,
     serialize_config,
     wave_from_frequency,
 )
@@ -170,6 +176,12 @@ class TestErrors:
     def test_boolean_rejected_for_integer(self):
         self.expect("frequency: 6 GHz\nnum_elements: true\nspacing: 0.01\nfocal_distance: 1\n", "num_elements")
 
+    @pytest.mark.parametrize("key, line", [("frequency", 1), ("spacing", 3), ("focal_distance", 4)])
+    def test_boolean_rejected_for_quantity(self, key, line):
+        text = BASE.replace(f"{key}: ", f"{key}: true # ", 1)
+        err = self.expect(text, key, line=line)
+        assert "got bool" in str(err)
+
     def test_fractional_element_count_rejected(self):
         self.expect("frequency: 6 GHz\nnum_elements: 4.5\nspacing: 0.01\nfocal_distance: 1\n", "num_elements")
 
@@ -229,6 +241,57 @@ class TestErrors:
     def test_non_finite_quantity(self, text, key, line):
         err = self.expect(text, key, line=line)
         assert "finite" in str(err)
+
+    def test_integer_error_reports_the_validator_message(self):
+        err = self.expect(BASE + "scan:\n  resolution: 8.0\n", "scan.resolution", line=6)
+        assert str(err) == "scan.resolution (line 6): scan.resolution must be an integer of at least 8, got 8.0"
+        err = self.expect(BASE + "seed: -1\n", "seed", line=5)
+        assert "seed must be an integer of at least 0" in str(err)
+
+
+def _library_accepts(key: str, value) -> bool:
+    """Whether the library call that consumes config ``key`` accepts ``value``."""
+    wave = wave_from_frequency(6e9)
+    tx = ArraySpec(wave=wave, num_elements=4, spacing=0.5 * wave.wavelength)
+    z0 = 10.0 * wave.wavelength
+    calls = {
+        "num_elements": lambda: ArraySpec(wave=wave, num_elements=value, spacing=0.01),
+        "rx.num_elements": lambda: FocusScenario(tx=tx, focal_distance=z0, rx_num=value),
+        "scan.resolution": lambda: scan_focal_points(FocusScenario(tx, z0), [0.0], strip_resolution=value),
+        "axial.samples": lambda: axial_profile(FocusScenario(tx, z0), (0.5 * z0, 2.0 * z0), samples=value),
+    }
+    try:
+        calls[key]()
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", ["num_elements", "rx.num_elements", "scan.resolution", "axial.samples"])
+@settings(max_examples=60, deadline=None)
+@given(
+    value=st.one_of(
+        st.integers(min_value=-2, max_value=12),
+        st.booleans(),
+        st.integers(min_value=-2, max_value=12).map(float),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([math.inf, -math.inf, math.nan, 2.5, 8.5]),
+    )
+)
+def test_config_and_library_accept_the_same_integers(key, value):
+    section, _, name = key.rpartition(".")
+    doc = {"frequency": "6 GHz", "num_elements": 4, "spacing": "0.5 lambda", "focal_distance": "10 lambda"}
+    (doc.setdefault(section, {}) if section else doc)[name] = value
+    text = yaml.safe_dump(doc, sort_keys=False)
+    loaded = yaml.safe_load(text)
+    parsed = (loaded[section] if section else loaded)[name]
+    assert parsed == value or (math.isnan(parsed) and math.isnan(value))
+    try:
+        parse_config(text)
+        config_accepts = True
+    except ConfigError:
+        config_accepts = False
+    assert config_accepts == _library_accepts(key, parsed)
 
 
 SHIPPED_CONFIG_SHA256 = {

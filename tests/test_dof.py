@@ -302,3 +302,13 @@ class TestOptimalSpacing:
             optimal_spacing(4, math.inf, wave6)
         with pytest.raises(ValueError):
             optimal_spacing(4, 1.0, wave6, n=0)
+
+    @pytest.mark.parametrize("bad", [True, 2.0])
+    def test_integer_arguments_reject_bools_and_floats(self, wave6, bad):
+        with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
+            optimal_spacing(bad, 1.0, wave6)
+        with pytest.raises(ValueError, match="null index n must be an integer of at least 1"):
+            optimal_spacing(4, 1.0, wave6, n=bad)
+
+    def test_accepts_numpy_integers(self, wave6):
+        assert optimal_spacing(np.int64(4), 1.0, wave6, n=np.int32(2)) == optimal_spacing(4, 1.0, wave6, n=2)

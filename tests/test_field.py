@@ -178,6 +178,16 @@ class TestFieldAt:
         with pytest.raises(ValueError, match="finite"):
             field_at(tx, np.ones((2, 4), dtype=complex), x, np.array([1.0, point[1], 1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)])
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_rejects_non_finite_excitation(self, wave6, bad, stacked):
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
+        exc = np.ones((2, 4) if stacked else 4, dtype=complex)
+        exc.flat[-2] = bad
+        with pytest.raises(ValueError, match="excitation must be finite"):
+            field_at(tx, exc, 0.0, 1.0)
+
     def test_guard_identifies_singular_point(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
         with pytest.raises(SingularDistanceError, match="field_at"):

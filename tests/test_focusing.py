@@ -105,6 +105,13 @@ class TestGainExact:
             with pytest.raises(ValueError, match="finite"):
                 gain_paraxial(40, tx.spacing, 1.0, wave6, np.array(bad))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z0", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_bad_focal_distance_by_name(self, wave6, z0):
+        tx = make_tx(wave6, 0.5)
+        with pytest.raises(ValueError, match="^z0 must be finite and positive"):
+            gain_exact(tx, z0, np.linspace(-0.1, 0.1, 5))
+
 
 class TestGainParaxial:
     def test_peak_value_equals_element_count(self, wave6):
@@ -190,8 +197,27 @@ class TestNullLadder:
     def test_requires_positive_count(self, wave6):
         with pytest.raises(ValueError):
             null_offsets_analytic(4, 0.01, 1.0, wave6, count=0)
-        with pytest.raises(ValueError, match="count must be a positive integer"):
+        with pytest.raises(ValueError, match="count must be an integer of at least 1"):
             null_offsets_analytic(4, 0.01, 1.0, wave6, count=2.5)
+        with pytest.raises(ValueError, match="count must be an integer of at least 1"):
+            null_offsets_analytic(4, 0.01, 1.0, wave6, count=True)
+        assert null_offsets_analytic(4, 0.01, 1.0, wave6, count=np.int64(2)).shape == (2,)
+
+    def test_keeps_nulls_on_grid_ends(self, wave6):
+        # reach / step rounds to 2.9999999999999996 here, below the null index 3
+        lam = wave6.wavelength
+        num, d, z0 = 40, 0.5 * lam, 20.0 * lam
+        step = lam * z0 / (num * d)
+        offs = np.arange(-3, 4) * step
+        profile = gain_paraxial(num, d, z0, wave6, offs)
+        np.testing.assert_array_equal(profile.null_offsets, offs[offs != 0.0])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spacing", [1e308, 5e-324])
+    def test_unrepresentable_null_step_raises(self, wave6, spacing):
+        # N d overflows, or lambda z0 / (N d) does; neither may hang the ladder
+        with pytest.raises(ValueError, match="null step must be finite and positive"):
+            gain_paraxial(40, spacing, 1.0, wave6, np.linspace(-0.1, 0.1, 5))
 
     def test_single_element_has_no_nulls(self, wave6):
         # every m is a multiple of one, so no null exists to return
@@ -205,9 +231,9 @@ class TestNullLadder:
     @pytest.mark.parametrize("num", [0, -3, 2.5])
     def test_rejects_bad_element_counts(self, wave6, num):
         offs = np.linspace(-0.1, 0.1, 21)
-        with pytest.raises(ValueError, match="num_elements must be a positive integer"):
+        with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
             gain_paraxial(num, 0.01, 1.0, wave6, offs)
-        with pytest.raises(ValueError, match="num_elements must be a positive integer"):
+        with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
             null_offsets_analytic(num, 0.01, 1.0, wave6, count=3)
 
     @pytest.mark.parametrize("num", [2, 3, 4, 40])
@@ -311,6 +337,18 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_focal_points(scen, [0.0], strip_resolution=4)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [True, 8.5, 16.0, math.inf, math.nan, 7, np.int64(7)])
+    def test_resolution_must_be_an_integer_of_at_least_8(self, wave6, bad):
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * wave6.wavelength)
+        with pytest.raises(ValueError, match="strip_resolution must be an integer of at least 8"):
+            scan_focal_points(scen, [0.0], strip_resolution=bad)
+
+    def test_numpy_integer_resolution_is_accepted(self, wave6):
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * wave6.wavelength)
+        report = scan_focal_points(scen, [0.0], strip_resolution=np.int64(8))
+        assert report.achieved_peaks == scan_focal_points(scen, [0.0], strip_resolution=8).achieved_peaks
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_targets(self, wave6, bad):
         tx = make_tx(wave6, 0.5)
@@ -382,6 +420,36 @@ class TestAxial:
             axial_profile(scen, (-1.0, 20.0 * lam))
         with pytest.raises(ValueError):
             axial_profile(scen, (5.0 * lam, 20.0 * lam), samples=2)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [3.5, 101.0, True, 2, math.nan])
+    def test_samples_must_be_an_integer_of_at_least_3(self, wave6, bad):
+        lam = wave6.wavelength
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * lam)
+        with pytest.raises(ValueError, match="samples must be an integer of at least 3"):
+            axial_profile(scen, (5.0 * lam, 20.0 * lam), samples=bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ends", [(5.0, math.inf), (math.nan, 20.0), (-math.inf, 20.0), (5.0, math.nan)])
+    def test_range_ends_must_be_finite(self, wave6, ends):
+        lam = wave6.wavelength
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * lam)
+        with pytest.raises(ValueError, match="z_range must be finite"):
+            axial_profile(scen, tuple(e * lam for e in ends))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("z_min", [-1.0, 0.0])
+    def test_range_start_must_be_positive(self, wave6, z_min):
+        lam = wave6.wavelength
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * lam)
+        with pytest.raises(ValueError, match="z_min must be finite and positive"):
+            axial_profile(scen, (z_min, 20.0 * lam))
+
+    def test_numpy_integer_samples_are_accepted(self, wave6):
+        lam = wave6.wavelength
+        scen = FocusScenario(tx=make_tx(wave6, 0.5, num=4), focal_distance=10.0 * lam)
+        profile = axial_profile(scen, (5.0 * lam, 20.0 * lam), samples=np.int64(3))
+        assert profile.z_samples.shape == (3,)
 
     def test_sparse_spacing_shifts_peak_outward(self, wave6):
         # with the spacing at its closed-form optimum the focal lobe itself

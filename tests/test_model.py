@@ -171,10 +171,24 @@ def test_pattern_factor_rejects_non_finite_point(pattern, point):
         pattern_factor(pattern, 0.0, *point)
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, "4"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, "4", True, False, np.float64(4.0)])
 def test_integer_counts_are_validated(wave6, bad):
-    with pytest.raises(ValueError, match="must be a positive integer"):
+    with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
         ArraySpec(wave=wave6, num_elements=bad, spacing=0.01)
     tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
-    with pytest.raises(ValueError, match="rx_num must be a positive integer"):
+    with pytest.raises(ValueError, match="rx_num must be an integer of at least 1"):
         FocusScenario(tx=tx, focal_distance=1.0, rx_num=bad)
+
+
+def test_integer_counts_accept_numpy_integers(wave6):
+    tx = ArraySpec(wave=wave6, num_elements=np.int64(4), spacing=0.01)
+    assert FocusScenario(tx=tx, focal_distance=1.0, rx_num=np.int32(3)).strip_extent == pytest.approx(0.03)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
+@pytest.mark.parametrize("x_source", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+def test_pattern_factor_rejects_non_finite_source(pattern, x_source):
+    with pytest.raises(ValueError, match="x_source must be finite"):
+        pattern_factor(pattern, x_source, 0.0, 1.0)
