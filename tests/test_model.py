@@ -172,7 +172,9 @@ def test_pattern_factor_rejects_non_finite_point(pattern, point):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [0, -3, 2.5, 4.0, "4", True, False, np.float64(4.0)])
+@pytest.mark.parametrize(
+    "bad", [0, -3, 2.5, 4.0, "4", True, False, pytest.param(np.float64(4.0), id="np-float64-4.0")]
+)
 def test_integer_counts_are_validated(wave6, bad):
     with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
         ArraySpec(wave=wave6, num_elements=bad, spacing=0.01)
