@@ -3,17 +3,17 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .config import EXPERIMENTS, ConfigError, parse_config
+from .config import EXPERIMENTS, OUTPUT_FORMATS, ConfigError, override_config, parse_config
 from .runner import run_experiment, write_summary, write_table
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
+EXIT_USAGE = 2
 
 
 def _error_record(code: int, exc: Exception) -> int:
@@ -22,8 +22,15 @@ def _error_record(code: int, exc: Exception) -> int:
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one JSON record on stderr instead of usage text."""
+
+    def error(self, message):
+        sys.exit(_error_record(EXIT_USAGE, argparse.ArgumentError(None, message)))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nearfocus",
         description=(
             "Near-field focusing analysis for linear arrays: effective degrees of "
@@ -33,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("experiment", choices=EXPERIMENTS, help="experiment to run")
     parser.add_argument("--config", required=True, metavar="PATH", help="YAML experiment configuration")
     parser.add_argument("--output", metavar="DIR", help="output directory (overrides the config)")
-    parser.add_argument("--format", choices=("csv", "json"), help="table format (overrides the config)")
+    parser.add_argument("--format", choices=OUTPUT_FORMATS, help="table format (overrides the config)")
     parser.add_argument("--seed", type=int, metavar="N", help="seed recorded for randomized verification runs")
     return parser
 
@@ -41,15 +48,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    try:
-        config = parse_config(Path(args.config).read_text())
-    except (OSError, ConfigError) as exc:
-        return _error_record(EXIT_CONFIG, exc)
-
-    # command-line flags override the config when given
+    # command-line flags override the config when given, checked like their keys
     flags = {"experiment": args.experiment, "output_dir": args.output,
              "output_format": args.format, "seed": args.seed}
-    config = dataclasses.replace(config, **{name: value for name, value in flags.items() if value is not None})
+    try:
+        config = parse_config(Path(args.config).read_text())
+        config = override_config(config, {name: value for name, value in flags.items() if value is not None})
+    except (OSError, ConfigError) as exc:
+        return _error_record(EXIT_CONFIG, exc)
 
     try:
         table, summary = run_experiment(config)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby
 
 import yaml
@@ -20,6 +20,7 @@ from .model import (
 )
 
 EXPERIMENTS = ("dof-sweep", "gain-profile", "scan", "axial", "optimal-spacing")
+OUTPUT_FORMATS = ("csv", "json")
 
 _FREQUENCY_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9}
 _LENGTH_UNITS = {"m": 1.0, "cm": 1e-2, "mm": 1e-3, "km": 1e3}
@@ -32,12 +33,13 @@ _REQUIRED = object()
 
 
 class ConfigError(ValueError):
-    """Configuration problem, reported with the offending key and line number."""
+    """Configuration problem, reported with the offending key and line number,
+    or with ``line`` None for a value given on the command line."""
 
-    def __init__(self, key: str, line: int, message: str):
+    def __init__(self, key: str, line: int | None, message: str):
         self.key = key
         self.line = line
-        super().__init__(f"{key} (line {line}): {message}")
+        super().__init__(f"{key} ({'command line' if line is None else f'line {line}'}): {message}")
 
 
 def _key(path: str, kind: str, default=_REQUIRED, *, minimum: int = 1, choices: tuple[str, ...] = ()):
@@ -93,7 +95,7 @@ class ExperimentConfig:
     axial_z_max: float = _key("axial.z_max", "length", lambda v: 2.0 * v["focal_distance"])
     axial_samples: int = _key("axial.samples", "int", 2001, minimum=_MIN_AXIAL_SAMPLES)
     output_dir: str = _key("output.directory", "path", "out")
-    output_format: str = _key("output.format", "choice", "csv", choices=("csv", "json"))
+    output_format: str = _key("output.format", "choice", "csv", choices=OUTPUT_FORMATS)
     seed: int | None = _key("seed", "int", None, minimum=0)
 
     @property
@@ -210,7 +212,12 @@ def _parse_value(spec, node, line: int, values: dict):
         )
     if kind == "targets" and not isinstance(node, yaml.ScalarNode):
         raise ConfigError(key, line, "expected 'paper-default' or a list of positions")
-    raw = _construct(node)
+    return _parse_scalar(spec, _construct(node), line, values)
+
+
+def _parse_scalar(spec, raw, line: int | None, values: dict):
+    """Parse the plain value ``raw`` of one schema entry other than a target list."""
+    key, kind = spec["path"], spec["kind"]
     if kind == "frequency":
         value = _parse_quantity(raw, key, line, kind, _FREQUENCY_UNITS)
         _check(key, line, wave_from_frequency, value)
@@ -265,6 +272,13 @@ def parse_config(text: str) -> ExperimentConfig:
             if not values[low] < values[high]:
                 raise ConfigError(section, _line(top[section][1]), message.format(values[low], values[high]))
     return ExperimentConfig(**values)
+
+
+def override_config(config: ExperimentConfig, values: dict) -> ExperimentConfig:
+    """``config`` with the fields named in ``values`` replaced, each value checked
+    like its YAML key; a bad value raises :class:`ConfigError` with no line."""
+    schema = {f.name: f.metadata for f in fields(config)}
+    return replace(config, **{name: _parse_scalar(schema[name], raw, None, vars(config)) for name, raw in values.items()})
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -8,8 +8,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import FocusScenario, Wave, _ascending_grid, _finite_positive, _int_at_least, element_positions
-from .field import ChannelMatrix, SingularDistanceError, _propagation
+from .model import FocusScenario, Wave, _ascending_grid, _finite_positive, _int_at_least
+from .field import ChannelMatrix, SingularDistanceError, channel_matrix
 
 
 class DegenerateChannelError(ValueError):
@@ -81,26 +81,17 @@ def dof_sweep(template: FocusScenario, spacings) -> SpacingSweep:
 
     For every candidate d the scenario is rebuilt with both transmit and
     receive spacing set to d and the receive sample count matched to the
-    transmit element count, so the strip tracks the array aperture. The
-    strip then copies the array, entry (m, n) of the channel depends only on
-    m - n, and its 2N - 1 distinct entries come from the two strip-end
-    samples. Ties on the maximum resolve to the smallest spacing.
+    transmit element count, so the strip tracks the array aperture. Each
+    value is ``effective_dof(channel_matrix(scenario))`` at that spacing.
+    Ties on the maximum resolve to the smallest spacing.
     """
     ds = _ascending_grid("spacings", spacings, 1)
-    _finite_positive("smallest spacing", float(ds[0]))
     num = template.tx.num_elements
-    # position of entry (m, n) in the lag vector, which runs from m - n = 1 - N to N - 1
-    lags = np.subtract.outer(np.arange(num), np.arange(num)) + (num - 1)
-    z0 = np.full(2, template.focal_distance)
     curve = np.empty_like(ds)
     for i, d in enumerate(ds):
-        tx = replace(template.tx, spacing=float(d))
+        scenario = replace(template, tx=replace(template.tx, spacing=float(d)), rx_num=num, rx_spacing=float(d))
         try:
-            strip_ends = element_positions(tx)[[0, -1]]
-            ends = np.vstack([k for _, k in _propagation(tx, strip_ends, z0, "dof_sweep")])
-            # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n
-            lag_vector = np.concatenate((ends[0, ::-1], ends[1, -2::-1]))
-            curve[i] = effective_dof(lag_vector[lags]).effective_dof
+            curve[i] = effective_dof(channel_matrix(scenario)).effective_dof
         except (SingularDistanceError, DegenerateChannelError) as exc:
             raise type(exc)(f"sweep aborted at spacing {d:.6g} m: {exc}") from exc
     best = int(np.argmax(curve))

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import (
     ArraySpec,
@@ -174,12 +175,20 @@ def channel_matrix(scenario: FocusScenario) -> ChannelMatrix:
     """Assemble the rx-by-tx channel matrix for a focusing scenario.
 
     Entry (m, n) is the pattern-weighted Green's gain from transmit element n
-    to receive sample m on the strip at height z0.
+    to receive sample m on the strip at height z0. When the strip copies the
+    array's count and spacing, entry (m, n) depends only on m - n, and the
+    2N - 1 distinct entries are computed at the two strip ends and gathered.
     """
     tx = scenario.tx
     rx_x = centered_positions(scenario.rx_num, scenario.rx_spacing)
     z0 = scenario.focal_distance
-    entries = np.empty((rx_x.size, tx.num_elements), dtype=complex)
-    for rows, kernel in _propagation(tx, rx_x, np.full_like(rx_x, z0), "channel_matrix"):
-        entries[rows] = kernel
+    if scenario.rx_num == tx.num_elements and scenario.rx_spacing == tx.spacing:
+        ends = np.vstack([k for _, k in _propagation(tx, rx_x[[0, -1]], np.full(2, z0), "channel_matrix")])
+        # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n; the lag vector runs from 1 - N to N - 1
+        lag_vector = np.concatenate((ends[0, ::-1], ends[1, -2::-1]))
+        entries = sliding_window_view(lag_vector, tx.num_elements)[:, ::-1].copy()
+    else:
+        entries = np.empty((rx_x.size, tx.num_elements), dtype=complex)
+        for rows, kernel in _propagation(tx, rx_x, np.full_like(rx_x, z0), "channel_matrix"):
+            entries[rows] = kernel
     return ChannelMatrix(entries=entries, rx_positions=rx_x, tx_positions=element_positions(tx), z0=z0)

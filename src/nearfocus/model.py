@@ -22,8 +22,8 @@ class Wave:
 
 
 def _finite_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite positive number."""
-    if not (math.isfinite(value) and value > 0.0):
+    """Raise ValueError unless ``value`` is a finite positive number, not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

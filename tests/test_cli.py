@@ -10,6 +10,7 @@ import pytest
 
 from nearfocus import cli
 from nearfocus.cli import main
+from nearfocus.config import ConfigError, parse_config
 
 BASE = """\
 frequency: 6 GHz
@@ -190,3 +191,55 @@ def test_unknown_experiment_rejected_by_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["everything", "--config", "x.yaml"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, yaml_line",
+    [("--seed", "-5", "seed: -5\n"), ("--output", "", "output:\n  directory: ''\n")],
+    ids=["seed", "output"],
+)
+def test_flags_are_checked_like_their_keys(tmp_path, config_path, capsys, monkeypatch, flag, value, yaml_line):
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code = main(["optimal-spacing", "--config", str(config_path), flag, value])
+    assert code == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError" and record["exit_status"] == 1
+    # the flag carries the message its YAML key gets from the schema
+    with pytest.raises(ConfigError) as from_yaml:
+        parse_config(BASE + yaml_line)
+    key, _, message = str(from_yaml.value).partition(" (line ")
+    assert record["message"] == f"{key} (command line): {message.partition('): ')[2]}"
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["everything", "--config", "x.yaml"], "argument experiment: invalid choice"),
+        (["scan"], "the following arguments are required: --config"),
+        (["scan", "--config", "x.yaml", "--seed", "abc"], "argument --seed: invalid int value"),
+        (["scan", "--config", "x.yaml", "--format", "xml"], "argument --format: invalid choice"),
+    ],
+    ids=["experiment", "missing-config", "seed", "format"],
+)
+def test_usage_errors_print_one_json_record(capsys, argv, fragment):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and captured.out == ""
+    record = json.loads(lines[0])
+    assert record["error"] == "ArgumentError" and record["exit_status"] == 2
+    assert record["message"].startswith(fragment)
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: nearfocus")

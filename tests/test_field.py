@@ -233,17 +233,32 @@ class TestChannelMatrix:
         assert np.all(h <= hi + 1e-18)
 
     def test_entries_match_single_element_field(self, wave6):
-        tx = ArraySpec(
-            wave=wave6, num_elements=6, spacing=1.3 * wave6.wavelength,
-            pattern=ElementPattern.PATCH,
-        )
-        scen = FocusScenario(tx=tx, focal_distance=30.0 * wave6.wavelength, rx_num=5, rx_spacing=0.7 * wave6.wavelength)
-        h = channel_matrix(scen)
-        for n in range(6):
-            one_hot = np.zeros(6, dtype=complex)
-            one_hot[n] = 1.0
-            col = field_at(tx, one_hot, h.rx_positions, scen.focal_distance)
-            np.testing.assert_allclose(h.entries[:, n], col, rtol=1e-13)
+        lam = wave6.wavelength
+        # (N, d, z0, rx_num, rx_spacing, rtol): a strip of its own count and
+        # spacing, then one that copies the array and is gathered by lag
+        cases = [(6, 1.3 * lam, 30.0 * lam, 5, 0.7 * lam, 1e-13), (40, 2.27 * lam, 200.0 * lam, None, None, 1e-12)]
+        for pattern in ElementPattern:
+            for num, d, z0, rx_num, rx_spacing, rtol in cases:
+                tx = ArraySpec(wave=wave6, num_elements=num, spacing=d, pattern=pattern)
+                h = channel_matrix(FocusScenario(tx=tx, focal_distance=z0, rx_num=rx_num, rx_spacing=rx_spacing))
+                cols = field_at(tx, np.eye(num), h.rx_positions, z0)
+                np.testing.assert_allclose(h.entries, cols.T, rtol=rtol, err_msg=f"{pattern} N={num}")
+
+    @pytest.mark.parametrize("num", [1, 2, 40])
+    @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
+    def test_matched_strip_is_gathered_by_lag(self, wave6, num, pattern):
+        tx = ArraySpec(wave=wave6, num_elements=num, spacing=0.8 * wave6.wavelength, pattern=pattern)
+        scen = FocusScenario(tx=tx, focal_distance=20.0 * wave6.wavelength)
+        h = channel_matrix(scen).entries
+        assert h.shape == (num, num)
+        assert h.flags.c_contiguous and h.flags.owndata and h.flags.writeable
+        # the strip ends are evaluated per pair; every other row repeats them by lag
+        ends = field_at(tx, np.eye(num), element_positions(tx)[[0, -1]], scen.focal_distance).T
+        assert np.array_equal(h[[0, -1]], ends)
+        for lag in range(1 - num, num):
+            assert np.all(np.diagonal(h, -lag) == (ends[0, -lag] if lag <= 0 else ends[1, num - 1 - lag]))
+        if num == 1:
+            assert h[0, 0] == greens(scen.focal_distance, wave6)
 
     def test_centro_symmetry_for_symmetric_scenario(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=12, spacing=0.8 * wave6.wavelength)
@@ -264,7 +279,7 @@ class TestChannelMatrix:
     def test_guard_identifies_offending_pair(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
         scen = FocusScenario(tx=tx, focal_distance=1e-7)
-        with pytest.raises(SingularDistanceError, match="channel_matrix"):
+        with pytest.raises(SingularDistanceError, match=r"channel_matrix: .* at index \(0, 0\)"):
             channel_matrix(scen)
 
 
@@ -286,7 +301,9 @@ class TestDeterminism:
         xs = np.linspace(-0.6, 0.6, 61) * tx.aperture
         zs = np.linspace(0.5, 1.5, 3)[:, None] * z0
         scen = FocusScenario(tx=tx, focal_distance=z0, rx_num=23, rx_spacing=0.7 * lam)
-        return weights, xs, zs, field_at(tx, weights, xs, zs), channel_matrix(scen).entries
+        # the second strip copies the array, so its channel is gathered by lag
+        entries = [channel_matrix(s).entries for s in (scen, FocusScenario(tx=tx, focal_distance=z0))]
+        return weights, xs, zs, field_at(tx, weights, xs, zs), entries
 
     @pytest.mark.parametrize("pattern", list(ElementPattern))
     def test_results_identical_across_blocks_stacking_and_reruns(self, wave6, monkeypatch, pattern):
@@ -296,7 +313,8 @@ class TestDeterminism:
         assert stacked.shape == (3, 3, 61)
         for name, (_, _, _, other, other_entries) in runs.items():
             assert np.array_equal(other, stacked), name
-            assert np.array_equal(other_entries, entries), name
+            for got, want in zip(other_entries, entries):
+                assert np.array_equal(got, want), name
         for t, w in enumerate(weights):
             assert np.array_equal(field_at(tx, w, xs, zs), stacked[t])
         assert np.array_equal(self.evaluate(tx, monkeypatch, 2**40)[3], stacked)

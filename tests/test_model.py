@@ -14,6 +14,7 @@ from nearfocus import (
     FocusScenario,
     centered_positions,
     element_positions,
+    optimal_spacing,
     pattern_factor,
     wave_from_frequency,
 )
@@ -181,6 +182,20 @@ def test_integer_counts_are_validated(wave6, bad):
     tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
     with pytest.raises(ValueError, match="rx_num must be an integer of at least 1"):
         FocusScenario(tx=tx, focal_distance=1.0, rx_num=bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_], ids=["True", "False", "np-True"])
+@pytest.mark.parametrize("name", ["spacing", "focal_distance", "rx_spacing", "optimal_spacing-focal_distance"])
+def test_quantities_reject_bools(wave6, name, bad):
+    tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
+    build = {
+        "spacing": lambda: ArraySpec(wave=wave6, num_elements=4, spacing=bad),
+        "focal_distance": lambda: FocusScenario(tx=tx, focal_distance=bad),
+        "rx_spacing": lambda: FocusScenario(tx=tx, focal_distance=1.0, rx_spacing=bad),
+        "optimal_spacing-focal_distance": lambda: optimal_spacing(4, bad, wave6),
+    }[name]
+    with pytest.raises(ValueError, match=f"^{name.split('-')[-1]} must be finite and positive, got"):
+        build()
 
 
 def test_integer_counts_accept_numpy_integers(wave6):
