@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .model import (
     ArraySpec,
@@ -50,26 +50,31 @@ def _check_distances(r: np.ndarray, wave: Wave, context: str, shape=None, offset
 
 
 def _green(r: np.ndarray, wave: Wave) -> np.ndarray:
-    """exp(-j k r) / (4 pi r) without the distance guard."""
-    return np.exp(-1j * wave.wavenumber * r) / (4.0 * np.pi * r)
+    """exp(-j k r) / (4 pi r) without the distance guard; cos(kr) and -sin(kr) give np.exp's bits, and cheaper."""
+    kr = np.multiply(wave.wavenumber, r, out=np.empty(r.shape))  # an array even for 0-d r, so sin can fill it
+    out = np.empty(r.shape, dtype=complex)
+    out.real = np.cos(kr)
+    out.imag = np.negative(np.sin(kr, out=kr), out=kr)
+    out /= 4.0 * np.pi * r
+    return out
 
 
-def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str):
+def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, first: int = 0):
     """Yield ``(rows, kernel)`` over blocks of the field points ``x``, ``z``.
 
-    ``x`` and ``z`` share one shape; ``rows`` slices their flattened points and
-    ``kernel[i, n]`` is pattern * exp(-j k r) / (4 pi r) from element n to
-    point ``rows.start + i``. Blocks hold at most :data:`KERNEL_BLOCK_BYTES`
-    unless one point alone exceeds it, and each passes the distance guard
-    before it is yielded.
+    ``x`` and ``z`` share one shape; ``rows`` slices their flattened points
+    from flat index ``first`` on, and ``kernel[i, n]`` is pattern *
+    exp(-j k r) / (4 pi r) from element n to point ``rows.start + i``.
+    Blocks hold at most :data:`KERNEL_BLOCK_BYTES` unless one point alone
+    exceeds it, and each passes the distance guard before it is yielded.
     """
     xn = element_positions(tx)
     rolloff = _has_rolloff(tx.pattern)
     xf = x.reshape(-1, 1)
     zf = z.reshape(-1, 1)
     step = max(1, KERNEL_BLOCK_BYTES // (16 * xn.size))
-    for start in range(0, xf.shape[0], step):
-        rows = slice(start, start + step)
+    for start in range(first, xf.shape[0], step):
+        rows = slice(start, min(start + step, xf.shape[0]))
         dx = xf[rows] - xn
         r = np.hypot(dx, zf[rows])
         _check_distances(r, tx.wave, context, (*x.shape, xn.size), start * xn.size)
@@ -138,7 +143,9 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         of the broadcast points; a stacked excitation gives shape
         (T, *points) and row t equals the call with ``excitation[t]``.
         Each value is one fixed-order sum over elements, so stacking
-        excitations and batching field points do not change results.
+        excitations and batching field points do not change results. A
+        mirrored point set (flattened, ``x[::-1] == -x`` and ``z[::-1] == z``)
+        builds only half the kernel and gives the same bits.
     """
     exc = np.asarray(excitation, dtype=complex)
     n = tx.num_elements
@@ -146,11 +153,18 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         raise ValueError(f"excitation has shape {exc.shape}, expected ({n},) or (T, {n})")
     _require_finite("excitation", exc)
     xb, zb = _field_points(x, z)
+    xf, zf = xb.ravel(), zb.ravel()
+    m = xf.size
+    # antisymmetric element positions make kernel row m - 1 - i of a mirrored set row i reversed, bit for bit;
+    # block rows lo..stop - 1 then give the twins m - stop..m - 1 - lo, and none when half is 0
+    half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
     weights = exc.reshape(-1, n)
-    total = np.empty((weights.shape[0], xb.size), dtype=complex)
-    for rows, kernel in _propagation(tx, xb, zb, "field_at"):
+    total = np.empty((weights.shape[0], m), dtype=complex)
+    for rows, kernel in _propagation(tx, xb, zb, "field_at", half):
+        lo = max(rows.start, m - half)
         for t, w in enumerate(weights):
             total[t, rows] = np.sum(w * kernel, axis=-1)
+            total[t, m - rows.stop:m - lo] = np.sum(w * kernel[lo - rows.start:][::-1, ::-1], axis=-1)
     total = total.reshape(exc.shape[:-1] + xb.shape)
     if total.ndim == 0:
         return complex(total)
@@ -184,9 +198,10 @@ def channel_matrix(scenario: FocusScenario) -> ChannelMatrix:
     z0 = scenario.focal_distance
     if scenario.rx_num == tx.num_elements and scenario.rx_spacing == tx.spacing:
         ends = np.vstack([k for _, k in _propagation(tx, rx_x[[0, -1]], np.full(2, z0), "channel_matrix")])
-        # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n; the lag vector runs from 1 - N to N - 1
+        # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n; entry (m, n) has lag m - n, at lag_vector[N - 1 + m - n]
         lag_vector = np.concatenate((ends[0, ::-1], ends[1, -2::-1]))
-        entries = sliding_window_view(lag_vector, tx.num_elements)[:, ::-1].copy()
+        s = lag_vector.strides[0]
+        entries = as_strided(lag_vector[tx.num_elements - 1:], (tx.num_elements,) * 2, (s, -s)).copy()
     else:
         entries = np.empty((rx_x.size, tx.num_elements), dtype=complex)
         for rows, kernel in _propagation(tx, rx_x, np.full_like(rx_x, z0), "channel_matrix"):

@@ -211,9 +211,9 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     """Refocus the array on each target and measure where the response lands.
 
     The T conjugate excitations are stacked into one (T, N) ``field_at``
-    call, so the strip's propagation kernel is built once for all targets;
-    each row equals that target's single-excitation field. Only peak
-    refinement and the lobe search run per target.
+    call on the mirrored strip grid, which builds half the propagation
+    kernel once for all targets; each row has the bits of that target's
+    single-excitation field. Peak refinement and lobe search run per target.
 
     Parameters
     ----------

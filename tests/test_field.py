@@ -1,6 +1,7 @@
 """Green's-function propagation, conjugate excitation, and channel assembly."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nearfocus import (
     FocusScenario,
     SingularDistanceError,
     Wave,
+    centered_positions,
     channel_matrix,
     conjugate_excitation,
     element_positions,
@@ -77,6 +79,20 @@ class TestGreens:
         wave = make_wave(0.05)
         with pytest.raises(SingularDistanceError, match="guard"):
             greens(np.array([1.0, 1e-6]), wave)
+
+    def test_phase_matches_complex_exponential(self):
+        # the phase comes from cos and sin of k r; it must stay within one ulp of exp(-j k r)
+        wave = make_wave(0.05)
+        r = np.random.default_rng(11).uniform(0.01 * wave.wavelength, 1e3, 200_000)
+        ref = np.exp(-1j * wave.wavenumber * r) / (4.0 * np.pi * r)
+        got = greens(r, wave)
+        np.testing.assert_array_max_ulp(got.real, ref.real, maxulp=1)
+        np.testing.assert_array_max_ulp(got.imag, ref.imag, maxulp=1)
+        for r0 in (float(r[0]), r[1], np.asarray(r[2])):
+            g = greens(r0, wave)
+            assert type(g) is complex
+            want = np.exp(-1j * wave.wavenumber * float(r0)) / (4.0 * np.pi * float(r0))
+            np.testing.assert_array_max_ulp(np.array([g.real, g.imag]), np.array([want.real, want.imag]), maxulp=1)
 
 
 class TestConjugateExcitation:
@@ -204,6 +220,21 @@ class TestFieldAt:
         with pytest.raises(SingularDistanceError, match=r"field_at: .* at index \(3, 2, 1\)"):
             field_at(tx, np.ones(4, dtype=complex), xs, zs)
 
+    def test_guard_on_mirrored_grid_names_a_singular_pair(self, wave6):
+        # a singular point on the negative side of a mirrored (2, 3) grid; the
+        # kernel is built for the second half only, so the guard meets its twin
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
+        xn = element_positions(tx)
+        xs = np.array([xn[0], -0.02, -0.01, 0.01, 0.02, -xn[0]]).reshape(2, 3)
+        zs = np.array([1e-7, 1.0, 1.0, 1.0, 1.0, 1e-7]).reshape(2, 3)
+        assert np.array_equal(xs.ravel()[::-1], -xs.ravel()) and np.array_equal(zs.ravel()[::-1], zs.ravel())
+        with pytest.raises(SingularDistanceError, match="field_at") as err:
+            field_at(tx, np.ones((2, 4), dtype=complex), xs, zs)
+        i, j, n = map(int, re.search(r"at index \((\d+), (\d+), (\d+)\)", str(err.value)).groups())
+        r = math.hypot(xs[i, j] - xn[n], zs[i, j])
+        assert r < field.MIN_DISTANCE_FRACTION * wave6.wavelength
+        assert f"distance {r:.6e} m" in str(err.value)
+
     def test_focus_dominates_strip(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=40, spacing=2.27 * wave6.wavelength)
         z0 = 200.0 * wave6.wavelength
@@ -318,3 +349,50 @@ class TestDeterminism:
         for t, w in enumerate(weights):
             assert np.array_equal(field_at(tx, w, xs, zs), stacked[t])
         assert np.array_equal(self.evaluate(tx, monkeypatch, 2**40)[3], stacked)
+
+    @staticmethod
+    def per_point(tx, weights, xs, zs):
+        """Each point evaluated on its own, in the caller's point shape."""
+        return np.stack([[field_at(tx, w, x, z) for x, z in zip(xs.flat, zs.flat)] for w in weights]).reshape(
+            weights.shape[:1] + xs.shape
+        )
+
+    @pytest.mark.parametrize("m", [9, 10])
+    @pytest.mark.parametrize("pattern", list(ElementPattern))
+    def test_mirrored_points_match_per_point_for_every_block(self, wave6, monkeypatch, pattern, m):
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * lam, pattern=pattern)
+        z0 = 30.0 * lam
+        weights = np.stack([conjugate_excitation(tx, xt, z0) for xt in (-2.0 * lam, 0.0, 3.5 * lam)])
+        # flattened x[::-1] == -x and z[::-1] == z, with heights that vary along the set
+        xs = centered_positions(m, 2.3 * lam)
+        zs = z0 + 0.5 * np.abs(xs)
+        points = [(xs, zs)] + ([(xs.reshape(2, -1), zs.reshape(2, -1))] if m % 2 == 0 else [])
+        for x, z in points:
+            want = self.per_point(tx, weights, x, z)
+            # every block size from one row to all m: built rows start at the
+            # mirror point m // 2, so one-row blocks put a boundary one row after
+            # it, and m - m // 2 rows or more hold the whole built half in one block
+            for block_rows in range(1, m + 1):
+                monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", block_rows * 16 * tx.num_elements)
+                got = field_at(tx, weights, x, z)
+                assert np.array_equal(got, want), (x.shape, block_rows)
+                for t, w in enumerate(weights):
+                    assert np.array_equal(field_at(tx, w, x, z), want[t]), (x.shape, block_rows, t)
+
+    @pytest.mark.parametrize("coordinate", ["x", "z"])
+    @pytest.mark.parametrize("pattern", list(ElementPattern))
+    def test_one_ulp_from_mirrored_takes_the_per_point_values(self, wave6, pattern, coordinate):
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * lam, pattern=pattern)
+        z0 = 2.0 * lam
+        weights = np.stack([conjugate_excitation(tx, xt, z0) for xt in (-2.0 * lam, 3.5 * lam)])
+        xs = centered_positions(9, 2.3 * lam)
+        zs = np.full_like(xs, z0)
+        nudged = {"x": xs, "z": zs}[coordinate].copy()
+        nudged[1] = np.nextafter(nudged[1], np.inf)
+        x, z = (nudged, zs) if coordinate == "x" else (xs, nudged)
+        got = field_at(tx, weights, x, z)
+        assert np.array_equal(got, self.per_point(tx, weights, x, z))
+        # the nudge moves the field there, so reusing the twin's row would show
+        assert not np.array_equal(got[:, 1], field_at(tx, weights, xs, zs)[:, 1])
