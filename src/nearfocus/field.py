@@ -59,6 +59,18 @@ def _green(r: np.ndarray, wave: Wave) -> np.ndarray:
     return out
 
 
+def _one_element_product(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``w * kernel`` for one element, spelled out as NumPy's length-1 loop rounds it.
+
+    NumPy multiplies a (rows, 1) kernel by a broadcast scalar, which rounds
+    unlike one point's (1, 1) product, so batched points would lose their bits.
+    """
+    out = np.empty(kernel.shape, dtype=complex)
+    out.real = kernel.real * w.real - kernel.imag * w.imag
+    out.imag = kernel.real * w.imag + kernel.imag * w.real
+    return out
+
+
 def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, first: int = 0):
     """Yield ``(rows, kernel)`` over blocks of the field points ``x``, ``z``.
 
@@ -159,12 +171,13 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     # block rows lo..stop - 1 then give the twins m - stop..m - 1 - lo, and none when half is 0
     half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
     weights = exc.reshape(-1, n)
+    multiply = _one_element_product if n == 1 else np.multiply
     total = np.empty((weights.shape[0], m), dtype=complex)
     for rows, kernel in _propagation(tx, xb, zb, "field_at", half):
         lo = max(rows.start, m - half)
         for t, w in enumerate(weights):
-            total[t, rows] = np.sum(w * kernel, axis=-1)
-            total[t, m - rows.stop:m - lo] = np.sum(w * kernel[lo - rows.start:][::-1, ::-1], axis=-1)
+            total[t, rows] = np.sum(multiply(w, kernel), axis=-1)
+            total[t, m - rows.stop:m - lo] = np.sum(multiply(w, kernel[lo - rows.start:][::-1, ::-1]), axis=-1)
     total = total.reshape(exc.shape[:-1] + xb.shape)
     if total.ndim == 0:
         return complex(total)

@@ -56,45 +56,44 @@ def _db(value: float, reference: float, per_decade: float) -> float:
     return per_decade * math.log10(max(value, _TINY) / reference)
 
 
+def _whole_steps(length: float, step: float) -> int:
+    """Most whole ``step``s within ``length``; a ratio 1e-12 short of a whole number is float noise."""
+    return math.floor(length / step * (1.0 + 1e-12))
+
+
 def _run_optimal_spacing(config: ExperimentConfig):
     wave = config.wave
-    rows = []
-    for n in (1, 2, 3, 4):
-        d = optimal_spacing(config.num_elements, config.focal_distance, wave, n=n)
-        rows.append((float(n), d, d / wave.wavelength))
-    best = rows[0][1]
+    indices = (1, 2, 3, 4)
+    spacings = [optimal_spacing(config.num_elements, config.focal_distance, wave, n=n) for n in indices]
+    table = {
+        "null_index": indices,
+        "spacing_m": spacings,
+        "spacing_over_lambda": np.divide(spacings, wave.wavelength),
+    }
     summary = {
-        "optimal_spacing_m": best,
-        "optimal_spacing_over_lambda": best / wave.wavelength,
+        "optimal_spacing_m": spacings[0],
+        "optimal_spacing_over_lambda": spacings[0] / wave.wavelength,
         "num_elements": config.num_elements,
         "focal_distance_m": config.focal_distance,
     }
-    return ("null_index", "spacing_m", "spacing_over_lambda"), rows, summary
+    return table, summary
 
 
 def _run_dof_sweep(config: ExperimentConfig):
     wave = config.wave
-    npts = int(round((config.sweep_stop - config.sweep_start) / config.sweep_step)) + 1
-    spacings = np.linspace(
-        config.sweep_start,
-        config.sweep_start + (npts - 1) * config.sweep_step,
-        npts,
-    )
+    npts = _whole_steps(config.sweep_stop - config.sweep_start, config.sweep_step) + 1
+    spacings = np.linspace(config.sweep_start, config.sweep_start + (npts - 1) * config.sweep_step, npts)
     sweep = dof_sweep(config.scenario(), spacings)
     # Normalized paraxial gain seen at the adjacent element offset delta = d;
     # the DoF maximum is expected where this response falls into its first null.
     u = np.pi * sweep.spacings * sweep.spacings / (wave.wavelength * config.focal_distance)
-    neighbor_gains = (_sine_ratio(config.num_elements, u) / config.num_elements) ** 2
-    rows = [
-        (
-            float(d),
-            float(d / wave.wavelength),
-            float(ne),
-            float(g),
-            1.0 if d == sweep.best_spacing else 0.0,
-        )
-        for d, ne, g in zip(sweep.spacings, sweep.dof_curve, neighbor_gains)
-    ]
+    table = {
+        "spacing_m": sweep.spacings,
+        "spacing_over_lambda": sweep.spacings / wave.wavelength,
+        "effective_dof": sweep.dof_curve,
+        "neighbor_gain": (_sine_ratio(config.num_elements, u) / config.num_elements) ** 2,
+        "is_best": sweep.spacings == sweep.best_spacing,
+    }
     closed_form = optimal_spacing(config.num_elements, config.focal_distance, wave)
     summary = {
         "best_spacing_m": sweep.best_spacing,
@@ -103,27 +102,21 @@ def _run_dof_sweep(config: ExperimentConfig):
         "closed_form_spacing_m": closed_form,
         "closed_form_spacing_over_lambda": closed_form / wave.wavelength,
     }
-    columns = ("spacing_m", "spacing_over_lambda", "effective_dof", "neighbor_gain", "is_best")
-    return columns, rows, summary
+    return table, summary
 
 
 def _run_gain_profile(config: ExperimentConfig):
     wave = config.wave
     scenario = config.scenario()
-    offsets = _symmetric_grid(max(1, round(config.gain_span / config.gain_step)), config.gain_step)
+    offsets = _symmetric_grid(max(1, _whole_steps(config.gain_span, config.gain_step)), config.gain_step)
     exact = gain_exact(scenario.tx, config.focal_distance, offsets)
-    parax = gain_paraxial(
-        config.num_elements, config.spacing, config.focal_distance, wave, offsets
-    )
-    rows = [
-        (
-            float(o),
-            float(o / wave.wavelength),
-            _db(ge, exact.peak_gain, 10.0),
-            _db(gp, parax.peak_gain, 10.0),
-        )
-        for o, ge, gp in zip(offsets, exact.gain, parax.gain)
-    ]
+    parax = gain_paraxial(config.num_elements, config.spacing, config.focal_distance, wave, offsets)
+    table = {
+        "offset_m": offsets,
+        "offset_over_lambda": offsets / wave.wavelength,
+        "gain_exact_db": [_db(g, exact.peak_gain, 10.0) for g in exact.gain],
+        "gain_paraxial_db": [_db(g, parax.peak_gain, 10.0) for g in parax.gain],
+    }
     summary = {
         "peak_offset_m": exact.peak_offset,
         "peak_gain_exact": exact.peak_gain,
@@ -131,39 +124,28 @@ def _run_gain_profile(config: ExperimentConfig):
         "first_null_exact_m": exact.first_positive_null,
         "first_null_paraxial_m": parax.first_positive_null,
     }
-    columns = ("offset_m", "offset_over_lambda", "gain_exact_db", "gain_paraxial_db")
-    return columns, rows, summary
+    return table, summary
 
 
 def _run_scan(config: ExperimentConfig):
     scenario = config.scenario()
-    report = scan_focal_points(
-        scenario, np.asarray(config.scan_targets), strip_resolution=config.scan_resolution
-    )
-    reference = max(m for _, m in report.achieved_peaks)
-    rows = [
-        (
-            float(xt),
-            float(xp),
-            float(err),
-            _db(mag, reference, 20.0),
-            float(count),
-        )
-        for xt, (xp, mag), err, count in zip(
-            report.focal_targets,
-            report.achieved_peaks,
-            report.position_errors,
-            report.lobe_counts,
-        )
-    ]
+    report = scan_focal_points(scenario, np.asarray(config.scan_targets), strip_resolution=config.scan_resolution)
+    peak_x, peak_mag = zip(*report.achieved_peaks)
+    reference = max(peak_mag)
+    table = {
+        "target_x_m": report.focal_targets,
+        "peak_x_m": peak_x,
+        "position_error_m": report.position_errors,
+        "peak_db": [_db(m, reference, 20.0) for m in peak_mag],
+        "lobe_count": report.lobe_counts,
+    }
     summary = {
         "max_position_error_m": float(np.max(np.abs(report.position_errors))),
         "peak_spread_db": report.peak_spread_db,
         "total_lobes": int(sum(report.lobe_counts)),
         "strip_half_extent_m": 0.5 * scenario.strip_extent,
     }
-    columns = ("target_x_m", "peak_x_m", "position_error_m", "peak_db", "lobe_count")
-    return columns, rows, summary
+    return table, summary
 
 
 def _run_axial(config: ExperimentConfig):
@@ -174,18 +156,18 @@ def _run_axial(config: ExperimentConfig):
         samples=config.axial_samples,
     )
     reference = float(np.max(profile.magnitude))
-    rows = [
-        (float(z), float(z / wave.wavelength), _db(float(m), reference, 20.0))
-        for z, m in zip(profile.z_samples, profile.magnitude)
-    ]
+    table = {
+        "z_m": profile.z_samples,
+        "z_over_lambda": profile.z_samples / wave.wavelength,
+        "magnitude_db": [_db(m, reference, 20.0) for m in profile.magnitude],
+    }
     summary = {
         "z_peak_m": profile.z_peak,
         "z_peak_over_lambda": profile.z_peak / wave.wavelength,
         "focal_shift_m": profile.focal_shift,
         "focal_shift_over_lambda": profile.focal_shift / wave.wavelength,
     }
-    columns = ("z_m", "z_over_lambda", "magnitude_db")
-    return columns, rows, summary
+    return table, summary
 
 
 _RUNNERS = {
@@ -208,13 +190,11 @@ def run_experiment(config: ExperimentConfig) -> tuple[ResultTable, dict]:
         raise ValueError("config does not name an experiment to run")
     if config.experiment not in _RUNNERS:
         raise ValueError(f"unknown experiment {config.experiment!r}")
-    columns, rows, summary = _RUNNERS[config.experiment](config)
-    table = ResultTable(
-        columns=tuple(columns),
-        rows=tuple(tuple(row) for row in rows),
-        metadata=_metadata(config),
-    )
-    return table, summary
+    columns, summary = _RUNNERS[config.experiment](config)
+    # each runner maps its column names, in order, to values; a short column raises instead of truncating the rows
+    values = [np.asarray(v, dtype=float).tolist() for v in columns.values()]
+    rows = tuple(zip(*values, strict=True))
+    return ResultTable(columns=tuple(columns), rows=rows, metadata=_metadata(config)), summary
 
 
 def write_table(table: ResultTable, fmt: str, destination) -> Path:

@@ -172,6 +172,15 @@ class TestFieldAt:
             ref = field_magnitude(40, tx.spacing, wave6.wavenumber, z0, focus_x, x)
             assert got == pytest.approx(ref, rel=1e-12)
 
+    def test_single_element_is_weight_times_greens(self, wave6):
+        # one isotropic element: each value is the complex product w * G(r), bit for bit
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=1, spacing=lam)
+        w = 0.8 * np.exp(2.1j)
+        xs = centered_positions(9, 2.3 * lam)
+        want = [w * greens(math.hypot(x, 30.0 * lam), wave6) for x in xs]
+        assert field_at(tx, [w], xs, 30.0 * lam).tolist() == want
+
     def test_rejects_wrong_excitation_length(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=8, spacing=0.03)
         for shape in [(7,), (2, 7), (2, 2, 8)]:
@@ -357,11 +366,13 @@ class TestDeterminism:
             weights.shape[:1] + xs.shape
         )
 
+    # a single element takes its own product arithmetic, which must not depend on the point count either
+    @pytest.mark.parametrize("num_elements", [1, 13])
     @pytest.mark.parametrize("m", [9, 10])
     @pytest.mark.parametrize("pattern", list(ElementPattern))
-    def test_mirrored_points_match_per_point_for_every_block(self, wave6, monkeypatch, pattern, m):
+    def test_mirrored_points_match_per_point_for_every_block(self, wave6, monkeypatch, pattern, m, num_elements):
         lam = wave6.wavelength
-        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * lam, pattern=pattern)
+        tx = ArraySpec(wave=wave6, num_elements=num_elements, spacing=1.7 * lam, pattern=pattern)
         z0 = 30.0 * lam
         weights = np.stack([conjugate_excitation(tx, xt, z0) for xt in (-2.0 * lam, 0.0, 3.5 * lam)])
         # flattened x[::-1] == -x and z[::-1] == z, with heights that vary along the set

@@ -10,12 +10,19 @@ import numpy as np
 import pytest
 
 from nearfocus import (
+    axial_profile,
+    dof_sweep,
+    gain_exact,
+    gain_paraxial,
+    optimal_spacing,
     parse_config,
     run_experiment,
+    scan_focal_points,
     serialize_config,
     write_summary,
     write_table,
 )
+from nearfocus import runner
 
 BASE = """\
 frequency: 6 GHz
@@ -111,6 +118,94 @@ def test_axial_table():
     assert summary["focal_shift_m"] == pytest.approx(
         parse_config(BASE).focal_distance - summary["z_peak_m"], rel=1e-12
     )
+
+
+def db(values, reference, per_decade):
+    return [per_decade * math.log10(v / reference) for v in values]
+
+
+def library_columns(cfg):
+    """The library values each column reports, computed here from the same config."""
+    lam, n, z0 = cfg.wave.wavelength, cfg.num_elements, cfg.focal_distance
+    if cfg.experiment == "optimal-spacing":
+        spacings = [optimal_spacing(n, z0, cfg.wave, n=i) for i in (1, 2, 3, 4)]
+        return {"null_index": [1, 2, 3, 4], "spacing_m": spacings, "spacing_over_lambda": [d / lam for d in spacings]}
+    if cfg.experiment == "dof-sweep":
+        # FAST_SWEEP: 11 spacings from 2 lambda in steps of 0.05 lambda
+        sweep = dof_sweep(cfg.scenario(), np.linspace(cfg.sweep_start, cfg.sweep_start + 10 * cfg.sweep_step, 11))
+        return {
+            "spacing_m": sweep.spacings,
+            "spacing_over_lambda": [d / lam for d in sweep.spacings],
+            "effective_dof": sweep.dof_curve,
+        }
+    if cfg.experiment == "gain-profile":
+        n_side = round(cfg.gain_span / cfg.gain_step)
+        offsets = np.arange(-n_side, n_side + 1, dtype=float) * cfg.gain_step
+        exact = gain_exact(cfg.scenario().tx, z0, offsets)
+        parax = gain_paraxial(n, cfg.spacing, z0, cfg.wave, offsets)
+        return {
+            "offset_m": exact.offsets,
+            "offset_over_lambda": [o / lam for o in offsets],
+            "gain_exact_db": db(exact.gain, exact.peak_gain, 10.0),
+            "gain_paraxial_db": db(parax.gain, parax.peak_gain, 10.0),
+        }
+    if cfg.experiment == "scan":
+        report = scan_focal_points(cfg.scenario(), np.asarray(cfg.scan_targets), cfg.scan_resolution)
+        mags = [m for _, m in report.achieved_peaks]
+        return {
+            "target_x_m": report.focal_targets,
+            "peak_x_m": [x for x, _ in report.achieved_peaks],
+            "position_error_m": report.position_errors,
+            "peak_db": db(mags, max(mags), 20.0),
+            "lobe_count": report.lobe_counts,
+        }
+    profile = axial_profile(cfg.scenario(), (cfg.axial_z_min, cfg.axial_z_max), samples=cfg.axial_samples)
+    return {
+        "z_m": profile.z_samples,
+        "z_over_lambda": [z / lam for z in profile.z_samples],
+        "magnitude_db": db(profile.magnitude, max(profile.magnitude), 20.0),
+    }
+
+
+@pytest.mark.parametrize(
+    "experiment, extra",
+    [("optimal-spacing", ""), ("dof-sweep", FAST_SWEEP), ("gain-profile", ""), ("scan", ""),
+     ("axial", "axial:\n  samples: 801\n")],
+)
+def test_columns_equal_the_library_values_they_report(experiment, extra):
+    cfg = config_for(experiment, extra)
+    table, summary = run_experiment(cfg)
+    columns = {name: [row[i] for row in table.rows] for i, name in enumerate(table.columns)}
+    assert all(type(row) is tuple and all(type(v) is float for v in row) for row in table.rows)
+    expected = library_columns(cfg)
+    assert set(expected) <= set(table.columns)
+    for name, values in expected.items():
+        assert columns[name] == [float(v) for v in values], name
+    if experiment == "dof-sweep":
+        best = columns["spacing_m"].index(summary["best_spacing_m"])
+        assert columns["is_best"] == [float(i == best) for i in range(len(table.rows))]
+
+
+def test_short_column_raises(monkeypatch):
+    def short(config):
+        return {"a": [1.0, 2.0, 3.0], "b": np.array([1.0, 2.0])}, {}
+
+    monkeypatch.setitem(runner._RUNNERS, "scan", short)
+    with pytest.raises(ValueError, match="shorter"):
+        run_experiment(config_for("scan"))
+
+
+def test_grids_stay_within_their_configured_end():
+    # 3.9 / 0.7 and 1 / 0.6 are not whole: the grids stop at the last step inside the end
+    sweep = "sweep:\n  start: 0.1 lambda\n  stop: 4 lambda\n  step: 0.7 lambda\n"
+    table, summary = run_experiment(config_for("dof-sweep", sweep))
+    assert [row[1] for row in table.rows] == pytest.approx([0.1, 0.8, 1.5, 2.2, 2.9, 3.6], rel=1e-12)
+    assert summary["best_spacing_over_lambda"] <= 4.0
+    table, _ = run_experiment(config_for("gain-profile", "gain:\n  span: 1 lambda\n  step: 0.6 lambda\n"))
+    assert [row[1] for row in table.rows] == pytest.approx([-0.6, 0.0, 0.6], rel=1e-12)
+    # 0.3 lambda / 0.1 lambda is 2.999999999999999 in floats; float noise keeps the end sample
+    table, _ = run_experiment(config_for("gain-profile", "gain:\n  span: 0.3 lambda\n  step: 0.1 lambda\n"))
+    assert [row[1] for row in table.rows] == pytest.approx([-0.3, -0.2, -0.1, 0.0, 0.1, 0.2, 0.3], abs=1e-12)
 
 
 def test_metadata_echoes_resolved_config():
