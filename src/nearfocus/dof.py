@@ -37,10 +37,36 @@ class DofResult:
 
 
 def _sum_abs2(a: np.ndarray) -> float:
-    """Sum of |a|^2 over a complex matrix as row sums, then NumPy's pairwise sum. No
-    BLAS dot: it splits its sum across threads, so its last bits follow their count."""
+    """Sum of |a|^2 over a stack of complex matrices as row sums, then NumPy's pairwise
+    sum. No BLAS dot: it splits its sum across threads, so its last bits follow their count."""
     parts = np.ascontiguousarray(a).view(np.float64)
-    return float(np.sum(np.einsum("ij,ij->i", parts, parts)))
+    return float(np.sum(np.einsum("...j,...j->...", parts, parts)))
+
+
+def _fold(top: np.ndarray, middle_row: bool) -> np.ndarray:
+    """Even and odd blocks of a centrosymmetric matrix H from its top ceil(M/2) rows,
+    stacked (2, ceil(M/2), ceil(N/2)); ``middle_row`` says M is odd.
+
+    With A the top-left and B the top-right quarter of H and J the column
+    reversal, H is orthogonally similar to diag(A + B J, A - B J) (Cantoni and
+    Butler, Linear Algebra Appl., 1976), so both blocks together carry the
+    singular values of H. A middle column (odd N) joins the even block scaled by
+    sqrt(2), a middle row (odd M) scaled by 1/sqrt(2), and the odd block holds
+    zeros in their places.
+    """
+    rows, n = top.shape
+    q = n // 2
+    bj = top[:, ::-1][:, :q]
+    blocks = np.zeros((2, rows, n - q), dtype=complex)
+    blocks[0] = top[:, : n - q]
+    blocks[0, :, :q] += bj
+    # the middle row of an odd M is mirror-symmetric, so its odd part is exactly zero
+    blocks[1, :, :q] = top[:, :q] - bj
+    if n > 2 * q:
+        blocks[0, :, q] *= math.sqrt(2.0)
+    if middle_row:
+        blocks[0, -1] *= math.sqrt(0.5)
+    return blocks
 
 
 def effective_dof(channel) -> DofResult:
@@ -51,6 +77,12 @@ def effective_dof(channel) -> DofResult:
     and G the Gram matrix on the smaller side of H (H H^H or H^H H), so no
     eigendecomposition is needed. H is first divided by max|H|, which makes
     the result independent of its overall scale.
+
+    An exactly centrosymmetric H (``H[::-1, ::-1] == H`` entry for entry, as
+    every :func:`channel_matrix` output is) is folded into two half-size
+    blocks whose Gram matrices together have the spectrum of G; both sums
+    then run over the two blocks, and the Gram products cost a quarter of the
+    flops. Any other H takes the same steps on itself as a single block.
     """
     h = np.asarray(channel.entries if isinstance(channel, ChannelMatrix) else channel, dtype=complex)
     if h.ndim != 2 or h.size == 0:
@@ -60,8 +92,14 @@ def effective_dof(channel) -> DofResult:
         raise ValueError("channel matrix has non-finite entries")
     if peak == 0.0:
         raise DegenerateChannelError("all Gram eigenvalues are zero")
-    hs = h / peak
-    gram = hs @ hs.conj().T if h.shape[0] <= h.shape[1] else hs.conj().T @ hs
+    m = h.shape[0]
+    top = h[: m - m // 2]
+    if np.array_equal(top, h[::-1, ::-1][: top.shape[0]]):
+        hs = _fold(top / peak, m % 2 == 1)
+    else:
+        hs = (h / peak)[None]
+    hsh = hs.conj().transpose(0, 2, 1)
+    gram = hs @ hsh if h.shape[0] <= h.shape[1] else hsh @ hs
     trace = _sum_abs2(hs)
     return DofResult(effective_dof=trace * trace / _sum_abs2(gram), entries=h)
 

@@ -51,20 +51,52 @@ def scenario_with_spacing(wave, spacing_wl: float) -> FocusScenario:
     return FocusScenario(tx=tx, focal_distance=200.0 * wave.wavelength)
 
 
-# prints the bytes of an N=128 patch sweep curve and of an N=256 DoF
+# prints the bytes of an N=128 patch sweep curve, an N=256 DoF, and the DoF of
+# an odd N=127 channel and of an N=256 array onto an unmatched 255-sample strip,
+# so both parities of the centrosymmetric fold are covered
 THREAD_PROBE = """
 import sys
 import numpy as np
 from nearfocus import ArraySpec, ElementPattern, FocusScenario, channel_matrix, dof_sweep, effective_dof, wave_from_frequency
 wave = wave_from_frequency(6e9)
 lam = wave.wavelength
-def scenario(num):
+def scenario(num, **strip):
     tx = ArraySpec(wave=wave, num_elements=num, spacing=0.5 * lam, pattern=ElementPattern.PATCH)
-    return FocusScenario(tx=tx, focal_distance=200.0 * lam)
+    return FocusScenario(tx=tx, focal_distance=200.0 * lam, **strip)
 curve = dof_sweep(scenario(128), np.linspace(0.1, 4.0, 391) * lam).dof_curve
-dof = effective_dof(channel_matrix(scenario(256))).effective_dof
-sys.stdout.write(curve.tobytes().hex() + " " + np.float64(dof).tobytes().hex())
+dofs = [
+    effective_dof(channel_matrix(s)).effective_dof
+    for s in (scenario(256), scenario(127), scenario(256, rx_num=255, rx_spacing=0.7 * lam))
+]
+sys.stdout.write(curve.tobytes().hex() + " " + np.array(dofs).tobytes().hex())
 """
+
+
+def mirrored(top: np.ndarray, num_rows: int) -> np.ndarray:
+    """The centrosymmetric num_rows-by-N matrix whose top ceil(num_rows/2) rows are ``top``;
+    the middle row of an odd count is made mirror-symmetric from its left half."""
+    half = num_rows // 2
+    n = top.shape[1]
+    h = np.empty((num_rows, n), dtype=complex)
+    h[: num_rows - half] = top
+    h[num_rows - half :] = top[:half][::-1, ::-1]
+    if num_rows > 2 * half:
+        h[half, n - n // 2 :] = h[half, : n // 2][::-1]
+    return h
+
+
+def general_path_dof(h: np.ndarray) -> float:
+    """tr(G)^2 / ||G||_F^2 on the unfolded G = hs hs^H, hs = h / max|h|, each sum
+    taken as row sums of squared real and imaginary parts, then NumPy's sum."""
+    hs = h / np.max(np.abs(h))
+    gram = hs @ hs.conj().T
+
+    def sum_abs2(a):
+        parts = np.ascontiguousarray(a).view(np.float64)
+        return float(np.sum(np.einsum("ij,ij->i", parts, parts)))
+
+    trace = sum_abs2(hs)
+    return trace * trace / sum_abs2(gram)
 
 
 complex_matrices = arrays(
@@ -162,6 +194,47 @@ class TestEffectiveDof:
         assert result.eigenvalues.shape == (shape[0],)
         np.testing.assert_array_equal(result.eigenvalues, want)
         assert result.effective_dof == pytest.approx(participation_ratio_svd(h), rel=1e-12)
+
+    @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
+    @pytest.mark.parametrize(
+        "num, rx_num",
+        [(num, rx) for num in (1, 2, 3, 40, 127, 128) for rx in (None, num - 1, num + 1) if rx != 0],
+    )
+    def test_folded_channel_matches_svd(self, wave6, pattern, num, rx_num):
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=num, spacing=2.27 * lam, pattern=pattern)
+        strip = {} if rx_num is None else {"rx_num": rx_num, "rx_spacing": 0.7 * lam}
+        h = channel_matrix(FocusScenario(tx=tx, focal_distance=200.0 * lam, **strip)).entries
+        # the fold runs only on an exactly centrosymmetric channel
+        assert np.array_equal(h, h[::-1, ::-1])
+        assert effective_dof(h).effective_dof == pytest.approx(participation_ratio_svd(h), rel=1e-12)
+
+    @pytest.mark.parametrize("num", [40, 41])
+    def test_one_ulp_off_centrosymmetric_takes_general_path(self, wave6, num):
+        lam = wave6.wavelength
+        tx = ArraySpec(wave=wave6, num_elements=num, spacing=2.27 * lam)
+        h = channel_matrix(FocusScenario(tx=tx, focal_distance=200.0 * lam)).entries
+        h[0, 1] = complex(np.nextafter(h[0, 1].real, np.inf), h[0, 1].imag)
+        assert not np.array_equal(h, h[::-1, ::-1])
+        assert effective_dof(h).effective_dof == general_path_dof(h)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        top=arrays(
+            dtype=np.complex128,
+            shape=(6, 12),
+            elements=st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_folded_random_centrosymmetric_matches_svd(self, top):
+        # every shape from 1x1 to 12x12, each the mirror of a corner of one drawn top half
+        for m in range(1, 13):
+            for n in range(1, 13):
+                h = mirrored(top[: m - m // 2, :n], m)
+                assert np.array_equal(h, h[::-1, ::-1])
+                dof = effective_dof(h).effective_dof
+                assert dof == pytest.approx(participation_ratio_svd(h), rel=1e-10)
+                assert 1.0 - 1e-12 <= dof <= min(m, n) + 1e-12
 
     def test_non_finite_entries_rejected(self):
         h = np.eye(3, dtype=complex)
