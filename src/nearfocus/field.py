@@ -25,8 +25,8 @@ MIN_DISTANCE_FRACTION = 0.01
 
 KERNEL_BLOCK_BYTES = 2**20
 """Byte budget of one propagation-kernel block of field points by elements. It
-bounds kernel memory, and a small block stays in cache with its temporaries
-while every excitation is summed against it."""
+bounds kernel memory, and a small block stays in cache while every excitation
+is summed against it; the sum makes no product temporaries."""
 
 
 class SingularDistanceError(ValueError):
@@ -56,18 +56,6 @@ def _green(r: np.ndarray, wave: Wave) -> np.ndarray:
     out.real = np.cos(kr)
     out.imag = np.negative(np.sin(kr, out=kr), out=kr)
     out /= 4.0 * np.pi * r
-    return out
-
-
-def _one_element_product(w: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """``w * kernel`` for one element, spelled out as NumPy's length-1 loop rounds it.
-
-    NumPy multiplies a (rows, 1) kernel by a broadcast scalar, which rounds
-    unlike one point's (1, 1) product, so batched points would lose their bits.
-    """
-    out = np.empty(kernel.shape, dtype=complex)
-    out.real = kernel.real * w.real - kernel.imag * w.imag
-    out.imag = kernel.real * w.imag + kernel.imag * w.real
     return out
 
 
@@ -154,8 +142,9 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         Sum over elements of pattern-weighted Green's terms, with the shape
         of the broadcast points; a stacked excitation gives shape
         (T, *points) and row t equals the call with ``excitation[t]``.
-        Each value is one fixed-order sum over elements, so stacking
-        excitations and batching field points do not change results. A
+        Each value is one sequential sum over elements in element order
+        (``np.einsum`` without ``optimize``: no BLAS, no product temporaries),
+        so stacking excitations and batching field points do not change it. A
         mirrored point set (flattened, ``x[::-1] == -x`` and ``z[::-1] == z``)
         builds only half the kernel and gives the same bits.
     """
@@ -171,13 +160,11 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     # block rows lo..stop - 1 then give the twins m - stop..m - 1 - lo, and none when half is 0
     half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
     weights = exc.reshape(-1, n)
-    multiply = _one_element_product if n == 1 else np.multiply
     total = np.empty((weights.shape[0], m), dtype=complex)
     for rows, kernel in _propagation(tx, xb, zb, "field_at", half):
         lo = max(rows.start, m - half)
-        for t, w in enumerate(weights):
-            total[t, rows] = np.sum(multiply(w, kernel), axis=-1)
-            total[t, m - rows.stop:m - lo] = np.sum(multiply(w, kernel[lo - rows.start:][::-1, ::-1]), axis=-1)
+        total[:, rows] = np.einsum("ij,tj->ti", kernel, weights)
+        total[:, m - rows.stop:m - lo] = np.einsum("ij,tj->ti", kernel[lo - rows.start:][::-1, ::-1], weights)
     total = total.reshape(exc.shape[:-1] + xb.shape)
     if total.ndim == 0:
         return complex(total)
@@ -203,16 +190,16 @@ def channel_matrix(scenario: FocusScenario) -> ChannelMatrix:
 
     Entry (m, n) is the pattern-weighted Green's gain from transmit element n
     to receive sample m on the strip at height z0. When the strip copies the
-    array's count and spacing, entry (m, n) depends only on m - n, and the
-    2N - 1 distinct entries are computed at the two strip ends and gathered.
+    array's count and spacing, entry (m, n) depends only on |m - n|, and the
+    N distinct entries are computed at one strip end and gathered.
     """
     tx = scenario.tx
     rx_x = centered_positions(scenario.rx_num, scenario.rx_spacing)
     z0 = scenario.focal_distance
     if scenario.rx_num == tx.num_elements and scenario.rx_spacing == tx.spacing:
-        ends = np.vstack([k for _, k in _propagation(tx, rx_x[[0, -1]], np.full(2, z0), "channel_matrix")])
-        # ends[0, n] has lag -n and ends[1, n] lag N - 1 - n; entry (m, n) has lag m - n, at lag_vector[N - 1 + m - n]
-        lag_vector = np.concatenate((ends[0, ::-1], ends[1, -2::-1]))
+        c = next(_propagation(tx, rx_x[:1], np.full(1, z0), "channel_matrix"))[1][0]
+        # c[n] has lag -n, and lag +n by antisymmetric positions: entry (m, n) = lag_vector[N - 1 + m - n] = c[|m - n|]
+        lag_vector = np.concatenate((c[::-1], c[1:]))
         s = lag_vector.strides[0]
         entries = as_strided(lag_vector[tx.num_elements - 1:], (tx.num_elements,) * 2, (s, -s)).copy()
     else:

@@ -34,8 +34,8 @@ def _int_at_least(name: str, value, minimum: int = 1) -> None:
 
 
 def _require_finite(name: str, values) -> None:
-    """Raise ValueError unless every entry of ``values`` is finite."""
-    if not np.all(np.isfinite(values)):
+    """Raise ValueError unless every entry of ``values`` is finite and ``values`` is not a bool."""
+    if isinstance(values, (bool, np.bool_)) or not np.all(np.isfinite(values)):
         raise ValueError(f"{name} must be finite")
 
 

@@ -106,7 +106,12 @@ class TestConjugateExcitation:
         with pytest.raises(ValueError):
             conjugate_excitation(tx, 0.0, 0.0)
 
-    @pytest.mark.parametrize("focus", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)])
+    # a bool is no coordinate: True would otherwise focus at x = 1 m
+    @pytest.mark.parametrize(
+        "focus",
+        [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)]
+        + [(True, 1.0), (False, 1.0), (np.True_, 1.0), (0.0, True)],
+    )
     def test_rejects_non_finite_focus(self, wave6, focus):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
         with pytest.raises(ValueError, match="finite"):
@@ -347,17 +352,18 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("pattern", list(ElementPattern))
     def test_results_identical_across_blocks_stacking_and_reruns(self, wave6, monkeypatch, pattern):
-        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * wave6.wavelength, pattern=pattern)
-        runs = {name: self.evaluate(tx, monkeypatch, size(13)) for name, size in self.BUDGETS.items()}
-        weights, xs, zs, stacked, entries = runs["one_block"]
-        assert stacked.shape == (3, 3, 61)
-        for name, (_, _, _, other, other_entries) in runs.items():
-            assert np.array_equal(other, stacked), name
-            for got, want in zip(other_entries, entries):
-                assert np.array_equal(got, want), name
-        for t, w in enumerate(weights):
-            assert np.array_equal(field_at(tx, w, xs, zs), stacked[t])
-        assert np.array_equal(self.evaluate(tx, monkeypatch, 2**40)[3], stacked)
+        for num_elements in (1, 13):
+            tx = ArraySpec(wave=wave6, num_elements=num_elements, spacing=1.7 * wave6.wavelength, pattern=pattern)
+            runs = {name: self.evaluate(tx, monkeypatch, size(num_elements)) for name, size in self.BUDGETS.items()}
+            weights, xs, zs, stacked, entries = runs["one_block"]
+            assert stacked.shape == (3, 3, 61)
+            for name, (_, _, _, other, other_entries) in runs.items():
+                assert np.array_equal(other, stacked), (num_elements, name)
+                for got, want in zip(other_entries, entries):
+                    assert np.array_equal(got, want), (num_elements, name)
+            for t, w in enumerate(weights):
+                assert np.array_equal(field_at(tx, w, xs, zs), stacked[t]), (num_elements, t)
+            assert np.array_equal(self.evaluate(tx, monkeypatch, 2**40)[3], stacked), num_elements
 
     @staticmethod
     def per_point(tx, weights, xs, zs):
@@ -366,8 +372,8 @@ class TestDeterminism:
             weights.shape[:1] + xs.shape
         )
 
-    # a single element takes its own product arithmetic, which must not depend on the point count either
-    @pytest.mark.parametrize("num_elements", [1, 13])
+    # each value is one sequential sum over elements, so neither the element count nor the point count may change it
+    @pytest.mark.parametrize("num_elements", [1, 2, 13, 40])
     @pytest.mark.parametrize("m", [9, 10])
     @pytest.mark.parametrize("pattern", list(ElementPattern))
     def test_mirrored_points_match_per_point_for_every_block(self, wave6, monkeypatch, pattern, m, num_elements):
