@@ -16,7 +16,7 @@ import yaml
 
 from .focusing import _MIN_AXIAL_SAMPLES, _MIN_STRIP_RESOLUTION
 from .model import (
-    ArraySpec, ElementPattern, FocusScenario, Wave, _finite_positive, _int_at_least, _require_finite, wave_from_frequency,
+    ArraySpec, ElementPattern, FocusScenario, Wave, _finite, _finite_positive, _int_at_least, wave_from_frequency,
 )
 
 EXPERIMENTS = ("dof-sweep", "gain-profile", "scan", "axial", "optimal-spacing")
@@ -196,7 +196,7 @@ def _parse_quantity(raw, key: str, line: int, kind: str, units: dict, *, positiv
             value = math.inf
     else:
         raise ConfigError(key, line, f"expected a {kind}, got {type(raw).__name__}")
-    _check(key, line, _finite_positive if positive else _require_finite, key, value)
+    _check(key, line, _finite_positive if positive else _finite, key, value)
     return value
 
 

@@ -13,9 +13,9 @@ from .model import (
     Wave,
     _cos2,
     _field_points,
+    _finite,
     _finite_positive,
     _has_rolloff,
-    _require_finite,
     centered_positions,
     element_positions,
 )
@@ -59,22 +59,27 @@ def _green(r: np.ndarray, wave: Wave) -> np.ndarray:
     return out
 
 
-def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, first: int = 0):
-    """Yield ``(rows, kernel)`` over blocks of the field points ``x``, ``z``.
+def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str):
+    """Yield ``(rows, kernel)`` blocks that together cover the field points ``x``, ``z``.
 
-    ``x`` and ``z`` share one shape; ``rows`` slices their flattened points
-    from flat index ``first`` on, and ``kernel[i, n]`` is pattern *
-    exp(-j k r) / (4 pi r) from element n to point ``rows.start + i``.
-    Blocks hold at most :data:`KERNEL_BLOCK_BYTES` unless one point alone
+    ``x`` and ``z`` share one shape; ``rows`` slices their flattened points,
+    and ``kernel[i, n]`` is pattern * exp(-j k r) / (4 pi r) from element n to
+    point ``rows.start + i``. A mirrored set (flattened, ``x[::-1] == -x`` and
+    ``z[::-1] == z``, exact compare) builds rows from m // 2 on only, and each
+    built block is followed by its twin rows: a reversed view, the same bits.
+    Built blocks hold at most :data:`KERNEL_BLOCK_BYTES` unless one point alone
     exceeds it, and each passes the distance guard before it is yielded.
     """
     xn = element_positions(tx)
     rolloff = _has_rolloff(tx.pattern)
     xf = x.reshape(-1, 1)
     zf = z.reshape(-1, 1)
+    m = xf.shape[0]
+    # antisymmetric element positions make kernel row m - 1 - i of a mirrored set row i reversed, bit for bit
+    half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
     step = max(1, KERNEL_BLOCK_BYTES // (16 * xn.size))
-    for start in range(first, xf.shape[0], step):
-        rows = slice(start, min(start + step, xf.shape[0]))
+    for start in range(half, m, step):
+        rows = slice(start, min(start + step, m))
         dx = xf[rows] - xn
         r = np.hypot(dx, zf[rows])
         _check_distances(r, tx.wave, context, (*x.shape, xn.size), start * xn.size)
@@ -82,6 +87,10 @@ def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, firs
         if rolloff:
             kernel *= _cos2(dx, zf[rows])
         yield rows, kernel
+        # built rows lo..stop - 1 are the twins of m - stop..m - 1 - lo; none when half is 0
+        lo = max(start, m - half)
+        if lo < rows.stop:
+            yield slice(m - rows.stop, m - lo), kernel[lo - start:][::-1, ::-1]
 
 
 def greens(r, wave: Wave):
@@ -100,8 +109,7 @@ def greens(r, wave: Wave):
     complex or ndarray
         Field contribution per unit excitation.
     """
-    rr = np.asarray(r, dtype=float)
-    _require_finite("distance r", rr)
+    rr = _finite("distance r", r)
     _check_distances(rr, wave, "greens")
     out = _green(rr, wave)
     if out.ndim == 0:
@@ -115,7 +123,7 @@ def conjugate_excitation(tx: ArraySpec, focus_x: float, focus_z: float) -> np.nd
     Each weight is exp(+j k r_n) with r_n the exact element-to-focus distance,
     so the propagation phase exp(-j k r_n) cancels at (focus_x, focus_z).
     """
-    _require_finite("focus_x", focus_x)
+    _finite("focus_x", focus_x)
     _finite_positive("focus_z", focus_z)
     xn = element_positions(tx)
     r = np.hypot(focus_x - xn, focus_z)
@@ -130,11 +138,11 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     tx : ArraySpec
         Transmit array.
     excitation : ndarray
-        Complex weight per element, shape (num_elements,), or T stacked
-        excitations of shape (T, num_elements).
+        Finite complex weight per element, shape (num_elements,), or T stacked
+        excitations of shape (T, num_elements); not a bool array.
     x, z : float or ndarray
         Field point coordinates in meters; broadcast against each other.
-        Coordinates must be finite and heights positive.
+        Coordinates must be finite and not bools, and heights positive.
 
     Returns
     -------
@@ -146,25 +154,17 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         (``np.einsum`` without ``optimize``: no BLAS, no product temporaries),
         so stacking excitations and batching field points do not change it. A
         mirrored point set (flattened, ``x[::-1] == -x`` and ``z[::-1] == z``)
-        builds only half the kernel and gives the same bits.
+        builds only half the kernel in :func:`_propagation`, with the same bits.
     """
-    exc = np.asarray(excitation, dtype=complex)
+    exc = _finite("excitation", excitation, complex)
     n = tx.num_elements
     if exc.ndim not in (1, 2) or exc.shape[-1] != n:
         raise ValueError(f"excitation has shape {exc.shape}, expected ({n},) or (T, {n})")
-    _require_finite("excitation", exc)
     xb, zb = _field_points(x, z)
-    xf, zf = xb.ravel(), zb.ravel()
-    m = xf.size
-    # antisymmetric element positions make kernel row m - 1 - i of a mirrored set row i reversed, bit for bit;
-    # block rows lo..stop - 1 then give the twins m - stop..m - 1 - lo, and none when half is 0
-    half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
     weights = exc.reshape(-1, n)
-    total = np.empty((weights.shape[0], m), dtype=complex)
-    for rows, kernel in _propagation(tx, xb, zb, "field_at", half):
-        lo = max(rows.start, m - half)
+    total = np.empty((weights.shape[0], xb.size), dtype=complex)
+    for rows, kernel in _propagation(tx, xb, zb, "field_at"):
         total[:, rows] = np.einsum("ij,tj->ti", kernel, weights)
-        total[:, m - rows.stop:m - lo] = np.einsum("ij,tj->ti", kernel[lo - rows.start:][::-1, ::-1], weights)
     total = total.reshape(exc.shape[:-1] + xb.shape)
     if total.ndim == 0:
         return complex(total)

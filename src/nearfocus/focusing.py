@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ArraySpec, FocusScenario, Wave, _ascending_grid, _finite_positive, _int_at_least, _require_finite
+from .model import ArraySpec, FocusScenario, Wave, _ascending_grid, _finite, _finite_positive, _int_at_least
 from .field import conjugate_excitation, field_at
 
 LOBE_THRESHOLD_DB = -13.0
@@ -230,10 +230,9 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     ScanReport
     """
     _int_at_least("strip_resolution", strip_resolution, _MIN_STRIP_RESOLUTION)
-    tgts = np.atleast_1d(np.asarray(targets, dtype=float))
+    tgts = np.atleast_1d(_finite("targets", targets))
     if tgts.ndim != 1 or tgts.size == 0:
         raise ValueError("targets must be a non-empty 1-D sequence")
-    _require_finite("targets", tgts)
     tx = scenario.tx
     z0 = scenario.focal_distance
     half = 0.5 * scenario.strip_extent

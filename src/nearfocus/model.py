@@ -33,16 +33,18 @@ def _int_at_least(name: str, value, minimum: int = 1) -> None:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
-def _require_finite(name: str, values) -> None:
-    """Raise ValueError unless every entry of ``values`` is finite and ``values`` is not a bool."""
-    if isinstance(values, (bool, np.bool_)) or not np.all(np.isfinite(values)):
+def _finite(name: str, values, dtype=float) -> np.ndarray:
+    """``values`` converted to a ``dtype`` array; ValueError if it is a bool or bool array or has a
+    non-finite entry. A mixed sequence such as ``(True, 2.0)`` converts as numbers and passes."""
+    out = np.asarray(values, dtype=dtype)
+    if np.asarray(values).dtype == bool or not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
+    return out
 
 
 def _field_points(x, z) -> tuple[np.ndarray, np.ndarray]:
     """Broadcast field coordinates to float arrays; both must be finite and z positive."""
-    xb, zb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(z, dtype=float))
-    _require_finite("field points", (xb, zb))
+    xb, zb = np.broadcast_arrays(_finite("field points", x), _finite("field points", z))
     if np.any(zb <= 0.0):
         raise ValueError("field height z must be positive")
     return xb, zb
@@ -50,10 +52,9 @@ def _field_points(x, z) -> tuple[np.ndarray, np.ndarray]:
 
 def _ascending_grid(name: str, values, min_size: int) -> np.ndarray:
     """``values`` as a finite, increasing 1-D float grid of ``min_size`` or more samples."""
-    grid = np.asarray(values, dtype=float)
+    grid = _finite(name, values)
     if grid.ndim != 1 or grid.size < min_size:
         raise ValueError(f"{name} must be a 1-D grid of {min_size} or more samples")
-    _require_finite(name, grid)
     if not np.all(np.diff(grid) > 0.0):
         raise ValueError(f"{name} must be strictly ascending")
     return grid
@@ -162,9 +163,7 @@ def pattern_factor(pattern, x_source, x_field, z):
     Inputs broadcast; scalar inputs return a float.
     """
     xf, zz = _field_points(x_field, z)
-    xs = np.asarray(x_source, dtype=float)
-    _require_finite("x_source", xs)
-    cos2 = _cos2(xf - xs, zz)
+    cos2 = _cos2(xf - _finite("x_source", x_source), zz)
     out = cos2 if _has_rolloff(pattern) else np.ones_like(cos2)
     if out.ndim == 0:
         return float(out)

@@ -202,15 +202,15 @@ def write_table(table: ResultTable, fmt: str, destination) -> Path:
 
     CSV carries the metadata as leading comment lines, then a header row and
     one line per row with full-precision floats. JSON mirrors the table as
-    {"metadata", "columns", "rows"}. Both formats reject NaN and infinite
-    values with ``ValueError`` before anything is written.
+    {"metadata", "columns", "rows"}. Either format rejects a NaN or infinite
+    cell with a ``ValueError`` naming it, before anything is written.
     """
     path = Path(destination)
+    for i, row in enumerate(table.rows):
+        for column, value in zip(table.columns, row):
+            if not math.isfinite(value):
+                raise ValueError(f"cell {column} of row {i} is not finite: {value!r}")
     if fmt == "csv":
-        for i, row in enumerate(table.rows):
-            for column, value in zip(table.columns, row):
-                if not math.isfinite(value):
-                    raise ValueError(f"CSV cell {column} of row {i} is not finite: {value!r}")
         lines = [f"# {key} = {value}" for key, value in table.metadata.items()]
         lines.append(",".join(table.columns))
         lines.extend(",".join(map(str, row)) for row in table.rows)

@@ -242,6 +242,20 @@ class TestErrors:
         err = self.expect(text, key, line=line)
         assert "finite" in str(err)
 
+    @pytest.mark.parametrize(
+        "text, key, line, message",
+        [
+            (BASE + "[a, b]: 1\n", "config", 5, "keys must be plain scalars"),
+            (BASE + "gain:\n  step: 1.2.3 lambda\n", "gain.step", 6, "cannot parse number in '1.2.3 lambda'"),
+            (BASE.replace("spacing: 2.27 lambda", "spacing: abc"), "spacing", 3, "cannot parse length 'abc'"),
+            (BASE + "scan:\n  targets:\n    a: 1\n", "scan.targets", 6, "expected 'paper-default' or a list"),
+        ],
+        ids=["non-scalar-key", "malformed-number-with-unit", "non-number", "targets-mapping"],
+    )
+    def test_unparseable_entry(self, text, key, line, message):
+        err = self.expect(text, key, line=line)
+        assert message in str(err)
+
     def test_integer_error_reports_the_validator_message(self):
         err = self.expect(BASE + "scan:\n  resolution: 8.0\n", "scan.resolution", line=6)
         assert str(err) == "scan.resolution (line 6): scan.resolution must be an integer of at least 8, got 8.0"

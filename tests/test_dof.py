@@ -338,7 +338,7 @@ class TestDofSweep:
             dof_sweep(template, np.array([0.01, 0.01]))
         with pytest.raises(ValueError):
             dof_sweep(template, np.array([-0.01, 0.01]))
-        for bad in ([0.01, math.nan], [math.nan], [0.01, math.inf]):
+        for bad in ([0.01, math.nan], [math.nan], [0.01, math.inf], [True]):
             with pytest.raises(ValueError, match="finite"):
                 dof_sweep(template, np.array(bad))
 

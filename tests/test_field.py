@@ -70,7 +70,8 @@ class TestGreens:
         greens(0.01 * wave.wavelength, wave)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan])])
+    # a bool is no distance: True would otherwise give the gain at r = 1 m
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan]), True, np.array([True])])
     def test_rejects_non_finite_distance(self, bad):
         with pytest.raises(ValueError, match="finite"):
             greens(bad, make_wave(0.05))
@@ -198,22 +199,29 @@ class TestFieldAt:
             field_at(tx, np.ones(4, dtype=complex), 0.0, -1.0)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("point", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "point", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (True, 1.0), (0.0, np.True_)]
+    )
     def test_rejects_non_finite_point(self, wave6, point):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
         with pytest.raises(ValueError, match="finite"):
             field_at(tx, np.ones(4, dtype=complex), *point)
-        # one bad sample among good ones, in a stacked call
-        x = np.array([0.0, point[0], 0.1])
+        # one bad sample among good ones, in a stacked call; a bool sample comes in a bool array,
+        # since NumPy converts a bool among floats to a number
+        x = np.array([0.0, point[0], 0.1], dtype=np.asarray(point[0]).dtype)
+        z = np.array([1.0, point[1], 1.0], dtype=np.asarray(point[1]).dtype)
         with pytest.raises(ValueError, match="finite"):
-            field_at(tx, np.ones((2, 4), dtype=complex), x, np.array([1.0, point[1], 1.0]))
+            field_at(tx, np.ones((2, 4), dtype=complex), x, z)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0)])
+    @pytest.mark.parametrize(
+        "bad", [math.inf, -math.inf, math.nan, complex(0.0, math.inf), complex(math.nan, 0.0), False]
+    )
     @pytest.mark.parametrize("stacked", [False, True])
     def test_rejects_non_finite_excitation(self, wave6, bad, stacked):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
-        exc = np.ones((2, 4) if stacked else 4, dtype=complex)
+        # a bool array is no excitation: True would otherwise weight an element by 1
+        exc = np.ones((2, 4) if stacked else 4, dtype=bool if isinstance(bad, bool) else complex)
         exc.flat[-2] = bad
         with pytest.raises(ValueError, match="excitation must be finite"):
             field_at(tx, exc, 0.0, 1.0)
@@ -288,6 +296,8 @@ class TestChannelMatrix:
                 h = channel_matrix(FocusScenario(tx=tx, focal_distance=z0, rx_num=rx_num, rx_spacing=rx_spacing))
                 cols = field_at(tx, np.eye(num), h.rx_positions, z0)
                 np.testing.assert_allclose(h.entries, cols.T, rtol=rtol, err_msg=f"{pattern} N={num}")
+                if rx_num is not None:  # an unmatched strip is built from the same kernel rows as field_at's
+                    assert np.array_equal(h.entries, cols.T), f"{pattern} N={num}"
 
     @pytest.mark.parametrize("num", [1, 2, 40])
     @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
@@ -310,6 +320,8 @@ class TestChannelMatrix:
         scen = FocusScenario(tx=tx, focal_distance=40.0 * wave6.wavelength, rx_num=9, rx_spacing=0.5 * wave6.wavelength)
         h = channel_matrix(scen).entries
         np.testing.assert_allclose(h, h[::-1, ::-1], rtol=1e-13)
+        # effective_dof folds only an exactly centrosymmetric channel
+        assert np.array_equal(h, h[::-1, ::-1])
 
     def test_column_norms_decrease_away_from_center(self, wave6):
         tx = ArraySpec(wave=wave6, num_elements=40, spacing=2.27 * wave6.wavelength)

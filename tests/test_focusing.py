@@ -349,12 +349,23 @@ class TestScan:
         report = scan_focal_points(scen, [0.0], strip_resolution=np.int64(8))
         assert report.achieved_peaks == scan_focal_points(scen, [0.0], strip_resolution=8).achieved_peaks
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_targets(self, wave6, bad):
+    # a bool is no position: True would otherwise focus at x = 1 m
+    @pytest.mark.parametrize(
+        "targets",
+        [[0.0, math.nan], [0.0, math.inf], [0.0, -math.inf], True, [False, True]],
+        ids=["nan", "inf", "-inf", "True", "bool-list"],
+    )
+    def test_rejects_non_finite_targets(self, wave6, targets):
         tx = make_tx(wave6, 0.5)
         scen = FocusScenario(tx=tx, focal_distance=200.0 * wave6.wavelength)
-        with pytest.raises(ValueError, match="finite"):
-            scan_focal_points(scen, [0.0, bad])
+        with pytest.raises(ValueError, match="targets must be finite"):
+            scan_focal_points(scen, targets)
+
+    @pytest.mark.parametrize("targets", [[], np.zeros((2, 2))], ids=["empty", "2-D"])
+    def test_targets_must_be_a_non_empty_1d_sequence(self, wave6, targets):
+        scen = FocusScenario(tx=make_tx(wave6, 0.5), focal_distance=200.0 * wave6.wavelength)
+        with pytest.raises(ValueError, match="targets must be a non-empty 1-D sequence"):
+            scan_focal_points(scen, targets)
 
     def test_peaks_match_per_target_field(self, wave6):
         # the scan contracts all targets against one kernel; each row must be

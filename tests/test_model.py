@@ -205,7 +205,7 @@ def test_integer_counts_accept_numpy_integers(wave6):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
-@pytest.mark.parametrize("x_source", [math.nan, math.inf, -math.inf, [0.0, math.nan]])
+@pytest.mark.parametrize("x_source", [math.nan, math.inf, -math.inf, [0.0, math.nan], True, np.array([False, True])])
 def test_pattern_factor_rejects_non_finite_source(pattern, x_source):
     with pytest.raises(ValueError, match="x_source must be finite"):
         pattern_factor(pattern, x_source, 0.0, 1.0)

@@ -42,6 +42,8 @@ def test_requires_an_experiment_name():
     cfg = parse_config(BASE)
     with pytest.raises(ValueError):
         run_experiment(cfg)
+    with pytest.raises(ValueError, match="unknown experiment 'nope'"):
+        run_experiment(dataclasses.replace(cfg, experiment="nope"))
 
 
 def test_optimal_spacing_table():
@@ -256,11 +258,12 @@ class TestWriteTable:
         with pytest.raises(ValueError):
             write_table(table, "xml", tmp_path / "t.xml")
 
-    def test_json_rejects_non_finite_values(self, tmp_path):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_json_rejects_non_finite_values(self, tmp_path, bad):
         table, _ = run_experiment(config_for("optimal-spacing"))
-        bad = dataclasses.replace(table, rows=table.rows + ((5.0, math.nan, math.inf),))
-        with pytest.raises(ValueError):
-            write_table(bad, "json", tmp_path / "t.json")
+        row = (5.0, 1.0, bad)
+        with pytest.raises(ValueError, match="spacing_over_lambda of row 4 is not finite"):
+            write_table(dataclasses.replace(table, rows=table.rows + (row,)), "json", tmp_path / "t.json")
         assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -276,6 +279,8 @@ class TestWriteTable:
         bad = tmp_path / "missing_dir" / "t.csv"
         with pytest.raises(OSError, match="missing_dir"):
             write_table(table, "csv", bad)
+        with pytest.raises(OSError, match="cannot write summary to .*missing_dir"):
+            write_summary({"focal_shift_m": 0.0}, bad.with_name("s.json"))
 
 
 def test_summary_sidecar_round_trips(tmp_path):
