@@ -18,39 +18,36 @@ _MIN_STRIP_RESOLUTION = 8  # least strip samples per wavelength; the config sche
 _MIN_AXIAL_SAMPLES = 3  # least depth samples of an axial profile; the config schema reads it
 
 
-def _parabola_vertex(y0: float, y1: float, y2: float) -> tuple[float, float]:
-    """Vertex of the parabola through three equally spaced samples.
+def _refine(x: np.ndarray, y: np.ndarray, indices, log_domain: bool = True):
+    """Sub-step (position, value) of the sampled extrema ``y[indices]`` by parabolic interpolation.
 
-    Returns the fractional offset from the center sample, in units of the
-    sample step, and the vertex value. Degenerate (flat) triples return the
-    center sample unchanged.
+    Each index j is refined on its own triple y[j-1 : j+2] with the vertex
+    x[j] + frac * (x[j+1] - x[j]), so an index array gives every entry the
+    bits it gets alone. A boundary sample is returned as-is; so is a triple
+    with a non-positive sample in the log domain, where the vertex of the
+    log samples is taken (closer to quadratic near a peak of a lobed
+    magnitude pattern) and its value exponentiated. A flat triple keeps its
+    center position. A single index gives two floats, an index array two
+    float arrays of its shape.
     """
-    denom = y0 - 2.0 * y1 + y2
-    if denom == 0.0:
-        return 0.0, y1
-    frac = 0.5 * (y0 - y2) / denom
-    value = y1 - 0.25 * (y0 - y2) * frac
-    return frac, value
-
-
-def _refine_max(x: np.ndarray, y: np.ndarray, index: int, log_domain: bool) -> tuple[float, float]:
-    """Sub-step refinement of a sampled maximum by parabolic interpolation.
-
-    Peaks are refined on the logarithm of the samples, which is closer to
-    quadratic near a peak of a lobed magnitude pattern. Boundary samples are
-    returned as-is.
-    """
-    if index == 0 or index == len(y) - 1:
-        return float(x[index]), float(y[index])
-    step = float(x[index + 1] - x[index])
-    triple = y[index - 1 : index + 2]
+    j = np.asarray(indices, dtype=np.intp)
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j + 1, len(y) - 1)
+    # a neighbour on each side, found by a cast, not a comparison: NumPy's integer
+    # comparison loops would add 128 kB of library code to a scan's peak RSS
+    refine = (j - lo).astype(bool) & (hi - j).astype(bool)
+    y0, y1, y2 = y[lo], y[j], y[hi]
     if log_domain:
-        if np.any(triple <= 0.0):
-            return float(x[index]), float(y[index])
-        frac, value = _parabola_vertex(*np.log(triple))
-        return float(x[index]) + frac * step, float(np.exp(value))
-    frac, value = _parabola_vertex(*(float(v) for v in triple))
-    return float(x[index]) + frac * step, float(value)
+        refine &= (y0 > 0.0) & (y1 > 0.0) & (y2 > 0.0)
+        y0, y1, y2 = (np.log(np.where(refine, v, 1.0)) for v in (y0, y1, y2))
+    denom = y0 - 2.0 * y1 + y2
+    flat = denom == 0.0
+    frac = np.where(flat, 0.0, 0.5 * (y0 - y2) / np.where(flat, 1.0, denom))
+    vertex = np.where(flat, y1, y1 - 0.25 * (y0 - y2) * frac)
+    positions = np.where(refine, x[j] + frac * (x[hi] - x[j]), x[j])
+    values = np.where(refine, np.exp(vertex) if log_domain else vertex, y[j])
+    if positions.ndim == 0:
+        return float(positions), float(values)
+    return positions, values
 
 
 def _local_maxima(y: np.ndarray) -> np.ndarray:
@@ -112,17 +109,13 @@ def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
     exc = conjugate_excitation(tx, 0.0, z0)
     e = field_at(tx, exc, offs, z0)
     gain = np.abs(e) ** 2 / tx.num_elements
-    ipk = int(np.argmax(gain))
-    peak_offset, peak_gain = _refine_max(offs, gain, ipk, log_domain=True)
-    nulls = [
-        _refine_max(offs, -gain, i, log_domain=False)[0] for i in _local_maxima(-gain)
-    ]
+    peak_offset, peak_gain = _refine(offs, gain, np.argmax(gain))
     return GainProfile(
         offsets=offs,
         gain=gain,
         peak_offset=peak_offset,
         peak_gain=peak_gain,
-        null_offsets=np.asarray(nulls, dtype=float),
+        null_offsets=_refine(offs, -gain, _local_maxima(-gain), log_domain=False)[0],
     )
 
 
@@ -162,8 +155,7 @@ def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offs
     ladder = _null_ladder(num_elements, spacing, z0, wave, max(abs(float(offs[0])), abs(float(offs[-1]))))
     ratio = _sine_ratio(num_elements, 0.5 * wave.wavenumber * spacing * offs / z0)
     gain = ratio * ratio / num_elements
-    ipk = int(np.argmax(gain))
-    peak_offset, peak_gain = _refine_max(offs, gain, ipk, log_domain=True)
+    peak_offset, peak_gain = _refine(offs, gain, np.argmax(gain))
     positive = np.fromiter(ladder, dtype=float)
     nulls = np.concatenate((-positive[::-1], positive))
     return GainProfile(
@@ -213,7 +205,8 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     The T conjugate excitations are stacked into one (T, N) ``field_at``
     call on the mirrored strip grid, which builds half the propagation
     kernel once for all targets; each row has the bits of that target's
-    single-excitation field. Peak refinement and lobe search run per target.
+    single-excitation field. Per target, one call refines the peak and one
+    every other local maximum; those above the floor are its lobes.
 
     Parameters
     ----------
@@ -245,31 +238,25 @@ def scan_focal_points(scenario: FocusScenario, targets, strip_resolution: int = 
     fields = np.abs(field_at(tx, excitations, xs, z0))
 
     peaks: list[tuple[float, float]] = []
-    errors = np.empty_like(tgts)
     lobes: list[tuple[float, float]] = []
     counts: list[int] = []
-    for it, (xt, mag) in enumerate(zip(tgts, fields)):
-        ipk = int(np.argmax(mag))
-        x_peak, m_peak = _refine_max(xs, mag, ipk, log_domain=True)
+    for mag in fields:
+        ipk = np.argmax(mag)
+        x_peak, m_peak = _refine(xs, mag, ipk)
         peaks.append((x_peak, m_peak))
-        errors[it] = x_peak - xt
-        floor = m_peak * 10.0 ** (LOBE_THRESHOLD_DB / 20.0)
-        n_lobes = 0
-        for j in _local_maxima(mag):
-            if j == ipk:
-                continue
-            x_lobe, m_lobe = _refine_max(xs, mag, int(j), log_domain=True)
-            if m_lobe > floor:
-                lobes.append((x_lobe, 20.0 * math.log10(m_lobe / m_peak)))
-                n_lobes += 1
-        counts.append(n_lobes)
+        maxima = _local_maxima(mag)
+        # every maximum but the peak, selected by a cast as in _refine
+        x_lobe, m_lobe = _refine(xs, mag, maxima[(maxima - ipk).astype(bool)])
+        above = m_lobe > m_peak * 10.0 ** (LOBE_THRESHOLD_DB / 20.0)
+        lobes.extend((float(x), 20.0 * math.log10(m / m_peak)) for x, m in zip(x_lobe[above], m_lobe[above]))
+        counts.append(int(np.count_nonzero(above)))
 
-    mags = np.array([m for _, m in peaks])
+    positions, mags = np.array(peaks).T
     spread_db = 20.0 * math.log10(float(np.max(mags)) / float(np.min(mags)))
     return ScanReport(
         focal_targets=tgts,
         achieved_peaks=tuple(peaks),
-        position_errors=errors,
+        position_errors=positions - tgts,
         peak_spread_db=spread_db,
         grating_lobes=tuple(lobes),
         lobe_counts=tuple(counts),
@@ -308,8 +295,7 @@ def axial_profile(scenario: FocusScenario, z_range: tuple[float, float], samples
     zs = np.linspace(z_min, z_max, samples)
     exc = conjugate_excitation(scenario.tx, 0.0, z0)
     mag = np.abs(field_at(scenario.tx, exc, 0.0, zs))
-    ipk = int(np.argmax(mag))
-    z_peak, _ = _refine_max(zs, mag, ipk, log_domain=True)
+    z_peak, _ = _refine(zs, mag, np.argmax(mag))
     return AxialProfile(
         z_samples=zs,
         magnitude=mag,

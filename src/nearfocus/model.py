@@ -22,8 +22,12 @@ class Wave:
 
 
 def _finite_positive(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a finite positive number, not a bool."""
-    if isinstance(value, (bool, np.bool_)) or not (math.isfinite(value) and value > 0.0):
+    """Raise ValueError unless ``value`` is a finite positive number, not a bool or an int too large for a float."""
+    try:
+        ok = not isinstance(value, (bool, np.bool_)) and math.isfinite(value) and value > 0.0
+    except OverflowError:
+        ok = False
+    if not ok:
         raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
@@ -34,9 +38,12 @@ def _int_at_least(name: str, value, minimum: int = 1) -> None:
 
 
 def _finite(name: str, values, dtype=float) -> np.ndarray:
-    """``values`` converted to a ``dtype`` array; ValueError if it is a bool or bool array or has a
-    non-finite entry. A mixed sequence such as ``(True, 2.0)`` converts as numbers and passes."""
-    out = np.asarray(values, dtype=dtype)
+    """``values`` converted to a ``dtype`` array; ValueError if it is a bool or bool array or has a non-finite
+    entry or an int too large for a float. A mixed sequence such as ``(True, 2.0)`` converts as numbers and passes."""
+    try:
+        out = np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite") from None
     if np.asarray(values).dtype == bool or not np.all(np.isfinite(out)):
         raise ValueError(f"{name} must be finite")
     return out

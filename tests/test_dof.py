@@ -338,7 +338,7 @@ class TestDofSweep:
             dof_sweep(template, np.array([0.01, 0.01]))
         with pytest.raises(ValueError):
             dof_sweep(template, np.array([-0.01, 0.01]))
-        for bad in ([0.01, math.nan], [math.nan], [0.01, math.inf], [True]):
+        for bad in ([0.01, math.nan], [math.nan], [0.01, math.inf], [True], [0.01, 10**400]):
             with pytest.raises(ValueError, match="finite"):
                 dof_sweep(template, np.array(bad))
 
@@ -373,6 +373,8 @@ class TestOptimalSpacing:
             optimal_spacing(4, -1.0, wave6)
         with pytest.raises(ValueError, match="finite"):
             optimal_spacing(4, math.inf, wave6)
+        with pytest.raises(ValueError, match="finite"):
+            optimal_spacing(4, 10**400, wave6)
         with pytest.raises(ValueError):
             optimal_spacing(4, 1.0, wave6, n=0)
 

@@ -70,8 +70,12 @@ class TestGreens:
         greens(0.01 * wave.wavelength, wave)
 
     @pytest.mark.filterwarnings("error")
-    # a bool is no distance: True would otherwise give the gain at r = 1 m
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, np.array([1.0, math.nan]), True, np.array([True])])
+    # a bool is no distance: True would otherwise give the gain at r = 1 m; 10**400 overflows a float
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, np.array([1.0, math.nan]), True, np.array([True])]
+        + [pytest.param(10**400, id="huge-int")],
+    )
     def test_rejects_non_finite_distance(self, bad):
         with pytest.raises(ValueError, match="finite"):
             greens(bad, make_wave(0.05))
@@ -111,7 +115,7 @@ class TestConjugateExcitation:
     @pytest.mark.parametrize(
         "focus",
         [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0)]
-        + [(True, 1.0), (False, 1.0), (np.True_, 1.0), (0.0, True)],
+        + [(True, 1.0), (False, 1.0), (np.True_, 1.0), (0.0, True), (10**400, 1.0)],
     )
     def test_rejects_non_finite_focus(self, wave6, focus):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.01)
@@ -200,7 +204,9 @@ class TestFieldAt:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "point", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (True, 1.0), (0.0, np.True_)]
+        "point",
+        [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (True, 1.0), (0.0, np.True_)]
+        + [(10**400, 1.0)],
     )
     def test_rejects_non_finite_point(self, wave6, point):
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)

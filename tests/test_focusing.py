@@ -22,7 +22,7 @@ from nearfocus import (
     scan_focal_points,
     wave_from_frequency,
 )
-from nearfocus.focusing import _parabola_vertex, _refine_max, _symmetric_grid
+from nearfocus.focusing import _refine, _symmetric_grid
 
 from _oracles import golden_max, field_magnitude
 
@@ -48,7 +48,7 @@ class TestRefinement:
     def test_parabola_vertex_recovers_quadratic(self):
         # y = 5 - (t - 0.3)^2 sampled at t = -1, 0, 1
         y = [5.0 - (t - 0.3) ** 2 for t in (-1.0, 0.0, 1.0)]
-        frac, value = _parabola_vertex(*y)
+        frac, value = _refine(np.array([-1.0, 0.0, 1.0]), np.array(y), 1, log_domain=False)
         assert frac == pytest.approx(0.3, rel=1e-12)
         assert value == pytest.approx(5.0, rel=1e-12)
 
@@ -56,15 +56,38 @@ class TestRefinement:
         x = np.linspace(-1.0, 1.0, 41)
         true_peak = 0.137
         y = np.exp(-((x - true_peak) ** 2) / 0.05)
-        xp, yp = _refine_max(x, y, int(np.argmax(y)), log_domain=True)
+        xp, yp = _refine(x, y, int(np.argmax(y)), log_domain=True)
         assert xp == pytest.approx(true_peak, abs=1e-9)
         assert yp == pytest.approx(1.0, rel=1e-9)
 
     def test_boundary_maxima_are_left_unrefined(self):
         x = np.linspace(0.0, 1.0, 11)
         y = np.linspace(0.0, 1.0, 11)
-        xp, yp = _refine_max(x, y, 10, log_domain=True)
+        xp, yp = _refine(x, y, 10, log_domain=True)
         assert xp == 1.0 and yp == 1.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("log_domain", [True, False])
+    def test_index_array_matches_each_index_alone(self, log_domain):
+        # refinement is elementwise: refining many extrema at once gives each one's bits
+        x = np.linspace(-1.0, 1.0, 12)
+        # a smooth peak at 2, a flat triple at 5, and triples 7 to 9 hold a zero sample
+        y = np.array([0.3, 0.9, 1.0, 0.7, 0.5, 0.5, 0.5, 0.8, 0.0, 0.6, 0.4, 0.2])
+        indices = np.arange(12)
+        positions, values = _refine(x, y, indices, log_domain=log_domain)
+        assert positions.shape == values.shape == (12,)
+        for j in indices:
+            alone = _refine(x, y, int(j), log_domain=log_domain)
+            assert all(type(v) is float for v in alone)
+            assert (positions[j], values[j]) == alone
+        assert positions[2] != x[2]  # the smooth peak is refined
+        assert positions[5] == x[5]  # the flat triple keeps its center
+        as_is = [0, 11, 7, 8, 9] if log_domain else [0, 11]
+        np.testing.assert_array_equal(positions[as_is], x[as_is])
+        np.testing.assert_array_equal(values[as_is], y[as_is])
+        positions, values = _refine(x, y, np.array([], dtype=int), log_domain=log_domain)
+        assert positions.shape == values.shape == (0,)
+        assert positions.dtype == values.dtype == np.float64
 
 
 class TestGainExact:
@@ -99,14 +122,14 @@ class TestGainExact:
             gain_exact(tx, 1.0, np.array([0.1, 0.0, 0.2]))
         with pytest.raises(ValueError, match="strictly ascending"):
             gain_exact(tx, 1.0, np.array([0.0, 0.1, 0.1, 0.2]))
-        for bad in ([0.0, math.nan, 0.2], [-math.inf, 0.0, 0.2], [0.0, 0.1, math.inf]):
+        for bad in ([0.0, math.nan, 0.2], [-math.inf, 0.0, 0.2], [0.0, 0.1, math.inf], [0.0, 0.1, 10**400]):
             with pytest.raises(ValueError, match="finite"):
                 gain_exact(tx, 1.0, np.array(bad))
             with pytest.raises(ValueError, match="finite"):
                 gain_paraxial(40, tx.spacing, 1.0, wave6, np.array(bad))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("z0", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("z0", [-1.0, 0.0, math.nan, math.inf, pytest.param(10**400, id="huge-int")])
     def test_rejects_bad_focal_distance_by_name(self, wave6, z0):
         tx = make_tx(wave6, 0.5)
         with pytest.raises(ValueError, match="^z0 must be finite and positive"):
@@ -352,8 +375,8 @@ class TestScan:
     # a bool is no position: True would otherwise focus at x = 1 m
     @pytest.mark.parametrize(
         "targets",
-        [[0.0, math.nan], [0.0, math.inf], [0.0, -math.inf], True, [False, True]],
-        ids=["nan", "inf", "-inf", "True", "bool-list"],
+        [[0.0, math.nan], [0.0, math.inf], [0.0, -math.inf], True, [False, True], [0.0, 10**400]],
+        ids=["nan", "inf", "-inf", "True", "bool-list", "huge-int"],
     )
     def test_rejects_non_finite_targets(self, wave6, targets):
         tx = make_tx(wave6, 0.5)
@@ -381,7 +404,7 @@ class TestScan:
         xs = _symmetric_grid(n_side, half / n_side)
         for xt, peak in zip(targets, report.achieved_peaks):
             mag = np.abs(field_at(tx, conjugate_excitation(tx, xt, z0), xs, z0))
-            assert peak == _refine_max(xs, mag, int(np.argmax(mag)), log_domain=True)
+            assert peak == _refine(xs, mag, int(np.argmax(mag)), log_domain=True)
 
     def test_lobe_levels_are_relative_to_each_target_peak(self, wave6):
         lam = wave6.wavelength
@@ -480,3 +503,19 @@ class TestAxial:
         )
         assert sparse.z_peak > dense.z_peak
         assert abs(sparse.focal_shift) < abs(dense.focal_shift)
+
+
+def test_result_fields_are_plain_floats(wave6):
+    # refined results are Python floats, never NumPy scalars
+    lam = wave6.wavelength
+    tx = make_tx(wave6, 2.27)
+    z0 = 200.0 * lam
+    offs = offsets_grid(wave6, 3 * tx.spacing)
+    profiles = [gain_exact(tx, z0, offs), gain_paraxial(40, tx.spacing, z0, wave6, offs)]
+    report = scan_focal_points(FocusScenario(tx=tx, focal_distance=z0), [-6.0 * lam, 0.0])
+    axial = axial_profile(FocusScenario(tx=tx, focal_distance=z0), (100.0 * lam, 400.0 * lam), samples=501)
+    assert report.grating_lobes
+    values = [v for p in profiles for v in (p.peak_offset, p.peak_gain)]
+    values += [v for pair in report.achieved_peaks + report.grating_lobes for v in pair]
+    values += [axial.z_peak, axial.focal_shift]
+    assert [type(v) for v in values] == [float] * len(values)

@@ -32,7 +32,9 @@ def test_wave_quantities_at_6ghz(wave6):
     assert wave6.wavenumber == pytest.approx(2.0 * math.pi / wave6.wavelength, rel=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, -6e9, math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "bad", [0.0, -1.0, -6e9, math.inf, -math.inf, math.nan, pytest.param(10**400, id="huge-int")]
+)
 def test_wave_rejects_nonpositive_frequency(bad):
     with pytest.raises(ValueError):
         wave_from_frequency(bad)
@@ -79,7 +81,7 @@ def test_array_spec_validation(wave6):
         ArraySpec(wave=wave6, num_elements=4, spacing=0.0)
     with pytest.raises(ValueError):
         ArraySpec(wave=wave6, num_elements=4, spacing=-0.01)
-    for bad in (math.inf, -math.inf, math.nan):
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             ArraySpec(wave=wave6, num_elements=4, spacing=bad)
 
@@ -112,7 +114,7 @@ def test_scenario_validation(wave6):
         FocusScenario(tx=tx, focal_distance=1.0, rx_num=0)
     with pytest.raises(ValueError):
         FocusScenario(tx=tx, focal_distance=1.0, rx_spacing=-0.1)
-    for bad in (math.inf, -math.inf, math.nan):
+    for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             FocusScenario(tx=tx, focal_distance=bad)
         with pytest.raises(ValueError, match="finite"):
@@ -205,7 +207,11 @@ def test_integer_counts_accept_numpy_integers(wave6):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("pattern", [ElementPattern.ISOTROPIC, ElementPattern.PATCH])
-@pytest.mark.parametrize("x_source", [math.nan, math.inf, -math.inf, [0.0, math.nan], True, np.array([False, True])])
+@pytest.mark.parametrize(
+    "x_source",
+    [math.nan, math.inf, -math.inf, [0.0, math.nan], True, np.array([False, True])]
+    + [pytest.param(10**400, id="huge-int")],
+)
 def test_pattern_factor_rejects_non_finite_source(pattern, x_source):
     with pytest.raises(ValueError, match="x_source must be finite"):
         pattern_factor(pattern, x_source, 0.0, 1.0)
