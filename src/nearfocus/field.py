@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,10 @@ MIN_DISTANCE_FRACTION = 0.01
 """Evaluation guard: distances below this fraction of a wavelength are rejected."""
 
 KERNEL_BLOCK_BYTES = 2**20
-"""Byte budget of one propagation-kernel block of field points by elements. It
-bounds kernel memory, and a small block stays in cache while every excitation
-is summed against it; the sum makes no product temporaries."""
+"""Byte budget of the propagation-kernel blocks of field points by elements
+that are built at one time, shared by every worker thread. It bounds kernel
+memory, and a small block stays in cache while every excitation is summed
+against it; the sum makes no product temporaries."""
 
 
 class SingularDistanceError(ValueError):
@@ -49,48 +52,108 @@ def _check_distances(r: np.ndarray, wave: Wave, context: str, shape=None, offset
         )
 
 
-def _green(r: np.ndarray, wave: Wave) -> np.ndarray:
-    """exp(-j k r) / (4 pi r) without the distance guard; cos(kr) and -sin(kr) give np.exp's bits, and cheaper."""
-    kr = np.multiply(wave.wavenumber, r, out=np.empty(r.shape))  # an array even for 0-d r, so sin can fill it
-    out = np.empty(r.shape, dtype=complex)
-    out.real = np.cos(kr)
+def _green(r: np.ndarray, wave: Wave, out: np.ndarray, kr: np.ndarray, cos: np.ndarray) -> np.ndarray:
+    """exp(-j k r) / (4 pi r) into ``out``, without the distance guard; ``r`` is left holding 4 pi r.
+
+    ``kr`` and ``cos`` are scratch arrays of ``r``'s shape. cos(kr) and -sin(kr),
+    each computed into a contiguous array and copied into ``out``, give np.exp's
+    bits, and cheaper.
+    """
+    np.multiply(wave.wavenumber, r, out=kr)
+    out.real = np.cos(kr, out=cos)
     out.imag = np.negative(np.sin(kr, out=kr), out=kr)
-    out /= 4.0 * np.pi * r
+    out /= np.multiply(4.0 * np.pi, r, out=r)
     return out
 
 
-def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str):
-    """Yield ``(rows, kernel)`` blocks that together cover the field points ``x``, ``z``.
+def _kernel_rows(tx: ArraySpec, xn: np.ndarray, x: np.ndarray, z: np.ndarray, out: np.ndarray, scratch: np.ndarray,
+                 context: str, shape: tuple, offset: int) -> np.ndarray:
+    """Kernel rows from the elements at ``xn`` to the points in the columns ``x``, ``z``, written into ``out``.
+
+    ``scratch`` holds float arrays of ``out``'s shape: r, k r and dx, and for a
+    pattern with the cos^2 roll-off a fourth that takes cos(k r), which
+    otherwise overwrites dx. The distances pass the guard first, their index
+    reported in ``shape`` from flat index ``offset`` on.
+    """
+    r, kr, dx = scratch[:3]
+    np.subtract(x, xn, out=dx)
+    np.hypot(dx, z, out=r)
+    _check_distances(r, tx.wave, context, shape, offset)
+    _green(r, tx.wave, out, kr, scratch[-1])
+    if _has_rolloff(tx.pattern):
+        out *= _cos2(dx, z, out=kr)
+    return out
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set, or every CPU where affinity is unknown."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, consume) -> None:
+    """Call ``consume(rows, kernel)`` on blocks that together cover the field points ``x``, ``z``.
 
     ``x`` and ``z`` share one shape; ``rows`` slices their flattened points,
     and ``kernel[i, n]`` is pattern * exp(-j k r) / (4 pi r) from element n to
     point ``rows.start + i``. A mirrored set (flattened, ``x[::-1] == -x`` and
     ``z[::-1] == z``, exact compare) builds rows from m // 2 on only, and each
     built block is followed by its twin rows: a reversed view, the same bits.
-    Built blocks hold at most :data:`KERNEL_BLOCK_BYTES` unless one point alone
-    exceeds it, and each passes the distance guard before it is yielded.
+
+    Blocks run on one thread per CPU of :func:`_cpu_count`, the calling thread
+    included, striding through the blocks. Each thread builds its blocks in
+    buffers allocated once per call, so ``kernel`` is valid only until
+    ``consume`` returns, and ``consume`` must write where no other block does.
+    The blocks built at one time hold at most :data:`KERNEL_BLOCK_BYTES` in
+    all unless one point alone exceeds it. Each block passes the distance
+    guard before it is consumed; after every thread has stopped, the error of
+    the earliest failed block, if any, is raised.
     """
     xn = element_positions(tx)
-    rolloff = _has_rolloff(tx.pattern)
     xf = x.reshape(-1, 1)
     zf = z.reshape(-1, 1)
-    m = xf.shape[0]
+    m, n = xf.shape[0], xn.size
     # antisymmetric element positions make kernel row m - 1 - i of a mirrored set row i reversed, bit for bit
     half = m // 2 if np.array_equal(xf[::-1], -xf) and np.array_equal(zf[::-1], zf) else 0
-    step = max(1, KERNEL_BLOCK_BYTES // (16 * xn.size))
-    for start in range(half, m, step):
-        rows = slice(start, min(start + step, m))
-        dx = xf[rows] - xn
-        r = np.hypot(dx, zf[rows])
-        _check_distances(r, tx.wave, context, (*x.shape, xn.size), start * xn.size)
-        kernel = _green(r, tx.wave)
-        if rolloff:
-            kernel *= _cos2(dx, zf[rows])
-        yield rows, kernel
-        # built rows lo..stop - 1 are the twins of m - stop..m - 1 - lo; none when half is 0
-        lo = max(start, m - half)
-        if lo < rows.stop:
-            yield slice(m - rows.stop, m - lo), kernel[lo - start:][::-1, ::-1]
+    workers = _cpu_count()
+    step = max(1, KERNEL_BLOCK_BYTES // (16 * n * workers))
+    starts = range(half, m, step)
+    workers = max(1, min(workers, len(starts)))
+    errors = {}
+
+    def work(first: int) -> None:
+        b = first
+        try:
+            size = min(step, m - half)
+            kernel = np.empty((size, n), dtype=complex)
+            scratch = np.empty((3 + _has_rolloff(tx.pattern), size, n))
+            for b in range(first, len(starts), workers):
+                rows = slice(starts[b], min(starts[b] + step, m))
+                k = rows.stop - rows.start
+                block = _kernel_rows(tx, xn, xf[rows], zf[rows], kernel[:k], scratch[:, :k], context,
+                                     (*x.shape, n), rows.start * n)
+                consume(rows, block)
+                # built rows lo..stop - 1 are the twins of m - stop..m - 1 - lo; none when half is 0
+                lo = max(rows.start, m - half)
+                if lo < rows.stop:
+                    consume(slice(m - rows.stop, m - lo), block[lo - rows.start:][::-1, ::-1])
+        except Exception as exc:  # a thread stops at its first failure; the caller raises the earliest
+            errors[b] = exc
+
+    threads = []
+    try:
+        for first in range(1, workers):
+            thread = threading.Thread(target=work, args=(first,))
+            thread.start()
+            threads.append(thread)
+        work(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
 
 
 def greens(r, wave: Wave):
@@ -111,7 +174,7 @@ def greens(r, wave: Wave):
     """
     rr = _finite("distance r", r)
     _check_distances(rr, wave, "greens")
-    out = _green(rr, wave)
+    out = _green(rr.copy(), wave, np.empty(rr.shape, dtype=complex), np.empty(rr.shape), np.empty(rr.shape))
     if out.ndim == 0:
         return complex(out)
     return out
@@ -155,6 +218,10 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
         so stacking excitations and batching field points do not change it. A
         mirrored point set (flattened, ``x[::-1] == -x`` and ``z[::-1] == z``)
         builds only half the kernel in :func:`_propagation`, with the same bits.
+        Kernel blocks are built and summed on one thread per CPU of the
+        process's affinity set, within one :data:`KERNEL_BLOCK_BYTES` budget
+        shared by them all; each value is computed by one thread, so the CPU
+        count does not change it either.
     """
     exc = _finite("excitation", excitation, complex)
     n = tx.num_elements
@@ -163,8 +230,11 @@ def field_at(tx: ArraySpec, excitation: np.ndarray, x, z):
     xb, zb = _field_points(x, z)
     weights = exc.reshape(-1, n)
     total = np.empty((weights.shape[0], xb.size), dtype=complex)
-    for rows, kernel in _propagation(tx, xb, zb, "field_at"):
+
+    def add(rows, kernel):
         total[:, rows] = np.einsum("ij,tj->ti", kernel, weights)
+
+    _propagation(tx, xb, zb, "field_at", add)
     total = total.reshape(exc.shape[:-1] + xb.shape)
     if total.ndim == 0:
         return complex(total)
@@ -197,13 +267,15 @@ def channel_matrix(scenario: FocusScenario) -> ChannelMatrix:
     rx_x = centered_positions(scenario.rx_num, scenario.rx_spacing)
     z0 = scenario.focal_distance
     if scenario.rx_num == tx.num_elements and scenario.rx_spacing == tx.spacing:
-        c = next(_propagation(tx, rx_x[:1], np.full(1, z0), "channel_matrix"))[1][0]
+        n = tx.num_elements
+        scratch = np.empty((3 + _has_rolloff(tx.pattern), 1, n))
+        c = _kernel_rows(tx, element_positions(tx), rx_x[0], z0, np.empty((1, n), dtype=complex), scratch,
+                         "channel_matrix", (1, n), 0)[0]
         # c[n] has lag -n, and lag +n by antisymmetric positions: entry (m, n) = lag_vector[N - 1 + m - n] = c[|m - n|]
         lag_vector = np.concatenate((c[::-1], c[1:]))
         s = lag_vector.strides[0]
         entries = as_strided(lag_vector[tx.num_elements - 1:], (tx.num_elements,) * 2, (s, -s)).copy()
     else:
         entries = np.empty((rx_x.size, tx.num_elements), dtype=complex)
-        for rows, kernel in _propagation(tx, rx_x, np.full_like(rx_x, z0), "channel_matrix"):
-            entries[rows] = kernel
+        _propagation(tx, rx_x, np.full_like(rx_x, z0), "channel_matrix", entries.__setitem__)
     return ChannelMatrix(entries=entries, rx_positions=rx_x, tx_positions=element_positions(tx), z0=z0)

@@ -32,8 +32,12 @@ def _finite_positive(name: str, value) -> None:
 
 
 def _int_at_least(name: str, value, minimum: int = 1) -> None:
-    """Raise ValueError unless ``value`` is an int or NumPy integer, not a bool, of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    """Raise ValueError unless ``value`` is a float-sized int or NumPy integer, not a bool, of at least ``minimum``."""
+    try:
+        ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
@@ -155,9 +159,10 @@ def _has_rolloff(pattern) -> bool:
     raise ValueError(f"unknown element pattern {pattern!r}")
 
 
-def _cos2(dx, z):
-    """Broadside roll-off cos^2(theta) = z^2 / (z^2 + dx^2)."""
-    return z * z / (z * z + dx * dx)
+def _cos2(dx, z, out=None):
+    """Broadside roll-off cos^2(theta) = z^2 / (z^2 + dx^2), written into ``out`` when given."""
+    zz = z * z
+    return np.divide(zz, np.add(zz, np.multiply(dx, dx, out=out), out=out), out=out)
 
 
 def pattern_factor(pattern, x_source, x_field, z):

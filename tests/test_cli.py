@@ -108,6 +108,18 @@ def test_frequency_with_infinite_wavelength_exits_one(tmp_path):
     assert not out.exists()
 
 
+def test_integer_too_large_for_a_float_exits_one_naming_the_key(tmp_path, capsys):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(BASE.replace("num_elements: 40", f"num_elements: {10**400}"))
+    out = tmp_path / "o"
+    code = main(["optimal-spacing", "--config", str(bad), "--output", str(out)])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError" and record["exit_status"] == 1
+    assert record["message"].startswith("num_elements (line 2): num_elements must be an integer of at least 1")
+    assert not out.exists()
+
+
 def test_unexpected_error_exits_two_without_traceback(tmp_path, config_path, capsys, monkeypatch):
     def broken(config):
         raise ZeroDivisionError("float division by zero")

@@ -378,7 +378,7 @@ class TestOptimalSpacing:
         with pytest.raises(ValueError):
             optimal_spacing(4, 1.0, wave6, n=0)
 
-    @pytest.mark.parametrize("bad", [True, 2.0])
+    @pytest.mark.parametrize("bad", [True, 2.0, pytest.param(10**400, id="huge-int")])
     def test_integer_arguments_reject_bools_and_floats(self, wave6, bad):
         with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
             optimal_spacing(bad, 1.0, wave6)

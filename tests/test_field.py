@@ -1,7 +1,11 @@
 """Green's-function propagation, conjugate excitation, and channel assembly."""
 
 import math
+import os
 import re
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +43,11 @@ def make_wave(wavelength: float) -> Wave:
 @pytest.fixture
 def wave6():
     return wave_from_frequency(6e9)
+
+
+def set_cpus(monkeypatch, count: int) -> None:
+    """Make the process's affinity set, which sizes the block workers, ``count`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 class TestGreens:
@@ -238,9 +247,11 @@ class TestFieldAt:
             field_at(tx, np.ones(4, dtype=complex), tx.spacing * 1.5, 1e-7)
 
     def test_guard_index_is_in_caller_shape_across_blocks(self, wave6, monkeypatch):
-        # three points per block: point (3, 2) is flat point 17, in the sixth block
+        # three points per block on two workers: point (3, 2) is flat point 17, in the sixth block, the second
+        # worker's third
         tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
-        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 3 * 16 * 4)
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 2 * 3 * 16 * 4)
         xs = np.linspace(-0.2, 0.2, 5) * np.ones((4, 1))
         zs = np.ones((4, 5))
         xs[3, 2] = element_positions(tx)[1]
@@ -405,11 +416,13 @@ class TestDeterminism:
         points = [(xs, zs)] + ([(xs.reshape(2, -1), zs.reshape(2, -1))] if m % 2 == 0 else [])
         for x, z in points:
             want = self.per_point(tx, weights, x, z)
-            # every block size from one row to all m: built rows start at the
-            # mirror point m // 2, so one-row blocks put a boundary one row after
-            # it, and m - m // 2 rows or more hold the whole built half in one block
+            # every block size from one row to all m, on two workers: built rows
+            # start at the mirror point m // 2, so one-row blocks put a boundary
+            # one row after it, and m - m // 2 rows or more hold the whole built
+            # half in one block
+            set_cpus(monkeypatch, 2)
             for block_rows in range(1, m + 1):
-                monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", block_rows * 16 * tx.num_elements)
+                monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 2 * block_rows * 16 * tx.num_elements)
                 got = field_at(tx, weights, x, z)
                 assert np.array_equal(got, want), (x.shape, block_rows)
                 for t, w in enumerate(weights):
@@ -431,3 +444,121 @@ class TestDeterminism:
         assert np.array_equal(got, self.per_point(tx, weights, x, z))
         # the nudge moves the field there, so reusing the twin's row would show
         assert not np.array_equal(got[:, 1], field_at(tx, weights, xs, zs)[:, 1])
+
+
+class TestParallelBlocks:
+    """Blocks run on one thread per CPU of the process's affinity set; no result or error depends on the count."""
+
+    M = 100_000
+    GUARD = "is below the evaluation guard 4.996541e-04 m"
+
+    @staticmethod
+    def evaluate(tx, monkeypatch, cpus):
+        """Fields and an unmatched channel at ``cpus`` CPUs, each call starting at most ``cpus - 1`` threads."""
+        set_cpus(monkeypatch, cpus)
+        # two rows per block at four CPUs, eight at one
+        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 8 * 16 * tx.num_elements)
+        started = []
+
+        class Counted(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(field, "threading", SimpleNamespace(Thread=Counted))
+        lam = tx.wave.wavelength
+        z0 = 30.0 * lam
+        weights = np.stack([conjugate_excitation(tx, xt, z0) for xt in (-2.0 * lam, 0.0, 3.5 * lam)])
+        xs = centered_positions(40, 2.3 * lam)
+        zs = z0 + 0.5 * np.abs(xs)
+        calls = [lambda x=x, z=z, w=w: field_at(tx, w, x, z) for w in (weights, weights[1])
+                 # mirrored, mirrored 2-D, and five unmirrored points: three blocks at four CPUs, fewer than workers
+                 for x, z in ((xs, zs), (xs.reshape(4, 10), zs.reshape(4, 10)), (xs[:5], zs[:5]))]
+        scen = FocusScenario(tx=tx, focal_distance=z0, rx_num=23, rx_spacing=0.7 * lam)
+        calls.append(lambda: channel_matrix(scen).entries)
+        results, most = [], 0
+        for call in calls:
+            before = threading.active_count()
+            started.clear()
+            results.append(call())
+            assert threading.active_count() == before
+            most = max(most, len(started))
+        return results, most
+
+    @pytest.mark.parametrize("num_elements", [1, 13, 40])
+    @pytest.mark.parametrize("pattern", list(ElementPattern))
+    def test_results_identical_at_one_and_four_cpus(self, wave6, monkeypatch, pattern, num_elements):
+        tx = ArraySpec(wave=wave6, num_elements=num_elements, spacing=1.7 * wave6.wavelength, pattern=pattern)
+        one, started_one = self.evaluate(tx, monkeypatch, 1)
+        four, started_four = self.evaluate(tx, monkeypatch, 4)
+        assert (started_one, started_four) == (0, 3)
+        for got, want in zip(four, one):
+            assert np.array_equal(got, want)
+
+    def test_one_row_blocks_on_four_workers_with_frequent_switches(self, wave6, monkeypatch):
+        # a lost or misplaced block write would leave np.empty garbage in place of the one-worker values
+        tx = ArraySpec(wave=wave6, num_elements=13, spacing=1.7 * wave6.wavelength, pattern=ElementPattern.PATCH)
+        weights = np.stack([conjugate_excitation(tx, xt, 1.0) for xt in (-0.1, 0.2)])
+        xs = centered_positions(301, 0.01)
+        zs = 1.0 + np.abs(xs)
+        results = []
+        for cpus in (1, 4):
+            set_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 16 * 13 * cpus)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(field_at(tx, weights, xs, zs))
+            finally:
+                sys.setswitchinterval(interval)
+        assert np.array_equal(results[0], results[1])
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_blocks_cover_every_point_once_within_the_shared_budget(self, wave6, monkeypatch, cpus):
+        tx = ArraySpec(wave=wave6, num_elements=13, spacing=0.03)
+        set_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(field, "KERNEL_BLOCK_BYTES", 12 * 16 * 13)
+        xs = centered_positions(61, 0.01)
+        seen = []
+        field._propagation(tx, xs, np.ones_like(xs), "test", lambda rows, kernel: seen.append((rows, kernel.shape)))
+        assert sorted(i for rows, _ in seen for i in range(61)[rows]) == list(range(61))
+        assert max(shape[0] for _, shape in seen) == 12 // cpus
+        assert all(shape == (rows.stop - rows.start, 13) for rows, shape in seen)
+
+    def test_cpu_count_falls_back_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert field._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert field._cpu_count() == 1
+
+    # Two singular points in different blocks at every worker count; the later
+    # block's is nearer its element, so the message names the earliest block's
+    # pair, not the smallest distance. The mirrored grid's singular points both
+    # sit on its negative side and are met as their built twins.
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "mirrored, shape, index",
+        [(True, (M,), (51000, 3)), (False, (M,), (500, 0)), (False, (400, 250), (2, 0, 0))],
+    )
+    def test_earliest_singular_block_is_reported(self, wave6, monkeypatch, cpus, mirrored, shape, index):
+        set_cpus(monkeypatch, cpus)
+        tx = ArraySpec(wave=wave6, num_elements=4, spacing=0.03)
+        xn = element_positions(tx)
+        m = self.M
+        xs, zs = centered_positions(m, 1e-5), np.ones(m)
+        if mirrored:
+            for row, r in ((48999, 2e-7), (500, 1e-7)):
+                xs[row], xs[m - 1 - row] = xn[0], xn[3]
+                zs[row] = zs[m - 1 - row] = r
+            assert np.array_equal(xs[::-1], -xs) and np.array_equal(zs[::-1], zs)
+        else:
+            for row, n, r in ((500, 0, 2e-7), (99499, 3, 1e-7)):
+                xs[row], zs[row] = xn[n], r
+        before = threading.active_count()
+        with pytest.raises(SingularDistanceError) as err:
+            field_at(tx, np.ones((2, 4), dtype=complex), xs.reshape(shape), zs.reshape(shape))
+        assert str(err.value) == f"field_at: distance 2.000000e-07 m at index {index} {self.GUARD}"
+        assert threading.active_count() == before
+        field_at(tx, np.ones((2, 4), dtype=complex), xs.reshape(shape), np.ones(shape))
+        assert threading.active_count() == before

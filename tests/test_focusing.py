@@ -224,6 +224,8 @@ class TestNullLadder:
             null_offsets_analytic(4, 0.01, 1.0, wave6, count=2.5)
         with pytest.raises(ValueError, match="count must be an integer of at least 1"):
             null_offsets_analytic(4, 0.01, 1.0, wave6, count=True)
+        with pytest.raises(ValueError, match="count must be an integer of at least 1"):
+            null_offsets_analytic(4, 0.01, 1.0, wave6, count=10**400)
         assert null_offsets_analytic(4, 0.01, 1.0, wave6, count=np.int64(2)).shape == (2,)
 
     def test_keeps_nulls_on_grid_ends(self, wave6):
@@ -251,7 +253,7 @@ class TestNullLadder:
         np.testing.assert_allclose(profile.gain, 1.0, rtol=1e-12)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("num", [0, -3, 2.5])
+    @pytest.mark.parametrize("num", [0, -3, 2.5, pytest.param(10**400, id="huge-int")])
     def test_rejects_bad_element_counts(self, wave6, num):
         offs = np.linspace(-0.1, 0.1, 21)
         with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):

@@ -176,7 +176,10 @@ def test_pattern_factor_rejects_non_finite_point(pattern, point):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
-    "bad", [0, -3, 2.5, 4.0, "4", True, False, pytest.param(np.float64(4.0), id="np-float64-4.0")]
+    "bad",
+    [0, -3, 2.5, 4.0, "4", True, False, pytest.param(np.float64(4.0), id="np-float64-4.0")]
+    # an integer too large for a float is refused like any other bad count, not left to overflow later
+    + [pytest.param(10**400, id="huge-int")],
 )
 def test_integer_counts_are_validated(wave6, bad):
     with pytest.raises(ValueError, match="num_elements must be an integer of at least 1"):
