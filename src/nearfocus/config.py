@@ -127,14 +127,10 @@ _ORDER_CHECKS = {
 
 
 def _compose(text: str):
-    loader = yaml.SafeLoader(text)
     try:
-        node = loader.get_single_node()
+        return yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError("config", getattr(getattr(exc, "problem_mark", None), "line", 0) + 1, f"not valid YAML: {exc}")
-    finally:
-        loader.dispose()
-    return node
 
 
 def _construct(node):

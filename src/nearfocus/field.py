@@ -52,17 +52,16 @@ def _check_distances(r: np.ndarray, wave: Wave, context: str, shape=None, offset
         )
 
 
-def _green(r: np.ndarray, wave: Wave, out: np.ndarray, kr: np.ndarray, cos: np.ndarray) -> np.ndarray:
-    """exp(-j k r) / (4 pi r) into ``out``, without the distance guard; ``r`` is left holding 4 pi r.
+def _green(r: np.ndarray, wave: Wave, out: np.ndarray, kr: np.ndarray) -> np.ndarray:
+    """exp(-j k r) / (4 pi r) into ``out``, without the distance guard; ``kr`` is left holding 4 pi r.
 
-    ``kr`` and ``cos`` are scratch arrays of ``r``'s shape. cos(kr) and -sin(kr),
-    each computed into a contiguous array and copied into ``out``, give np.exp's
-    bits, and cheaper.
+    ``kr`` is a float scratch array of ``r``'s shape, and ``r`` is not written.
+    cos(k r) and -sin(k r), written straight into ``out.real`` and ``out.imag``,
+    give np.exp's bits, and cheaper.
     """
-    np.multiply(wave.wavenumber, r, out=kr)
-    out.real = np.cos(kr, out=cos)
-    out.imag = np.negative(np.sin(kr, out=kr), out=kr)
-    out /= np.multiply(4.0 * np.pi, r, out=r)
+    np.cos(np.multiply(wave.wavenumber, r, out=kr), out=out.real)
+    np.negative(np.sin(kr, out=kr), out=out.imag)
+    out /= np.multiply(4.0 * np.pi, r, out=kr)
     return out
 
 
@@ -70,16 +69,15 @@ def _kernel_rows(tx: ArraySpec, xn: np.ndarray, x: np.ndarray, z: np.ndarray, ou
                  context: str, shape: tuple, offset: int) -> np.ndarray:
     """Kernel rows from the elements at ``xn`` to the points in the columns ``x``, ``z``, written into ``out``.
 
-    ``scratch`` holds float arrays of ``out``'s shape: r, k r and dx, and for a
-    pattern with the cos^2 roll-off a fourth that takes cos(k r), which
-    otherwise overwrites dx. The distances pass the guard first, their index
+    ``scratch`` holds three float arrays of ``out``'s shape, for r, k r and dx,
+    whatever the pattern. The distances pass the guard first, their index
     reported in ``shape`` from flat index ``offset`` on.
     """
-    r, kr, dx = scratch[:3]
+    r, kr, dx = scratch
     np.subtract(x, xn, out=dx)
     np.hypot(dx, z, out=r)
     _check_distances(r, tx.wave, context, shape, offset)
-    _green(r, tx.wave, out, kr, scratch[-1])
+    _green(r, tx.wave, out, kr)
     if _has_rolloff(tx.pattern):
         out *= _cos2(dx, z, out=kr)
     return out
@@ -128,7 +126,7 @@ def _propagation(tx: ArraySpec, x: np.ndarray, z: np.ndarray, context: str, cons
         try:
             size = min(step, m - half)
             kernel = np.empty((size, n), dtype=complex)
-            scratch = np.empty((3 + _has_rolloff(tx.pattern), size, n))
+            scratch = np.empty((3, size, n))
             for b in range(first, len(starts), workers):
                 rows = slice(starts[b], min(starts[b] + step, m))
                 k = rows.stop - rows.start
@@ -174,7 +172,7 @@ def greens(r, wave: Wave):
     """
     rr = _finite("distance r", r)
     _check_distances(rr, wave, "greens")
-    out = _green(rr.copy(), wave, np.empty(rr.shape, dtype=complex), np.empty(rr.shape), np.empty(rr.shape))
+    out = _green(rr, wave, np.empty(rr.shape, dtype=complex), np.empty(rr.shape))
     if out.ndim == 0:
         return complex(out)
     return out
@@ -268,9 +266,8 @@ def channel_matrix(scenario: FocusScenario) -> ChannelMatrix:
     z0 = scenario.focal_distance
     if scenario.rx_num == tx.num_elements and scenario.rx_spacing == tx.spacing:
         n = tx.num_elements
-        scratch = np.empty((3 + _has_rolloff(tx.pattern), 1, n))
-        c = _kernel_rows(tx, element_positions(tx), rx_x[0], z0, np.empty((1, n), dtype=complex), scratch,
-                         "channel_matrix", (1, n), 0)[0]
+        c = _kernel_rows(tx, element_positions(tx), rx_x[0], z0, np.empty((1, n), dtype=complex),
+                         np.empty((3, 1, n)), "channel_matrix", (1, n), 0)[0]
         # c[n] has lag -n, and lag +n by antisymmetric positions: entry (m, n) = lag_vector[N - 1 + m - n] = c[|m - n|]
         lag_vector = np.concatenate((c[::-1], c[1:]))
         s = lag_vector.strides[0]

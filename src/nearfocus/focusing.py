@@ -80,6 +80,12 @@ class GainProfile:
         return float(positive[0])
 
 
+def _gain_profile(offsets: np.ndarray, gain: np.ndarray, null_offsets: np.ndarray) -> GainProfile:
+    """A :class:`GainProfile` of the samples, with the peak refined in the log domain."""
+    peak_offset, peak_gain = _refine(offsets, gain, np.argmax(gain))
+    return GainProfile(offsets, gain, peak_offset, peak_gain, null_offsets)
+
+
 def _symmetric_grid(n_side: int, step: float) -> np.ndarray:
     """Samples k * step, k = -n_side..n_side; integer multiples of the step make
     ``x[::-1] == -x`` hold bitwise and put the center sample exactly at zero."""
@@ -109,14 +115,7 @@ def gain_exact(tx: ArraySpec, z0: float, offsets) -> GainProfile:
     exc = conjugate_excitation(tx, 0.0, z0)
     e = field_at(tx, exc, offs, z0)
     gain = np.abs(e) ** 2 / tx.num_elements
-    peak_offset, peak_gain = _refine(offs, gain, np.argmax(gain))
-    return GainProfile(
-        offsets=offs,
-        gain=gain,
-        peak_offset=peak_offset,
-        peak_gain=peak_gain,
-        null_offsets=_refine(offs, -gain, _local_maxima(-gain), log_domain=False)[0],
-    )
+    return _gain_profile(offs, gain, _refine(offs, -gain, _local_maxima(-gain), log_domain=False)[0])
 
 
 def _sine_ratio(num_elements: int, u: np.ndarray) -> np.ndarray:
@@ -154,17 +153,9 @@ def gain_paraxial(num_elements: int, spacing: float, z0: float, wave: Wave, offs
     offs = _ascending_grid("offsets", offsets, 3)
     ladder = _null_ladder(num_elements, spacing, z0, wave, max(abs(float(offs[0])), abs(float(offs[-1]))))
     ratio = _sine_ratio(num_elements, 0.5 * wave.wavenumber * spacing * offs / z0)
-    gain = ratio * ratio / num_elements
-    peak_offset, peak_gain = _refine(offs, gain, np.argmax(gain))
     positive = np.fromiter(ladder, dtype=float)
     nulls = np.concatenate((-positive[::-1], positive))
-    return GainProfile(
-        offsets=offs,
-        gain=gain,
-        peak_offset=peak_offset,
-        peak_gain=peak_gain,
-        null_offsets=nulls[(offs[0] <= nulls) & (nulls <= offs[-1])],
-    )
+    return _gain_profile(offs, ratio * ratio / num_elements, nulls[(offs[0] <= nulls) & (nulls <= offs[-1])])
 
 
 def null_offsets_analytic(num_elements: int, spacing: float, z0: float, wave: Wave, count: int) -> np.ndarray:

@@ -104,6 +104,7 @@ class ArraySpec:
     def __post_init__(self) -> None:
         _int_at_least("num_elements", self.num_elements)
         _finite_positive("spacing", self.spacing)
+        _has_rolloff(self.pattern)
 
     @property
     def aperture(self) -> float:

@@ -387,3 +387,17 @@ class TestOptimalSpacing:
 
     def test_accepts_numpy_integers(self, wave6):
         assert optimal_spacing(np.int64(4), 1.0, wave6, n=np.int32(2)) == optimal_spacing(4, 1.0, wave6, n=2)
+
+    @pytest.mark.parametrize("num", [16, 40, 64])
+    @pytest.mark.parametrize("z0_wl", [100, 200, 400])
+    def test_is_the_small_angle_limit_of_the_swept_optimum(self, wave6, num, z0_wl):
+        # The swept optimum sits above d* by a fraction that grows with (aperture / z0)^2 = N lambda / z0 at d*:
+        # the next term of the distance expansion, -Delta^4 / (8 z0^3), weakens the coupling phase k x_m x_n / z0
+        # toward the aperture edges. Its average over both apertures predicts a coefficient of 1/8; the sweep gives
+        # 0.075-0.100 at 501 steps, and 0.15 bounds both.
+        lam = wave6.wavelength
+        z0 = z0_wl * lam
+        d_star = optimal_spacing(num, z0, wave6)
+        spacings = np.linspace(0.5, 1.5, 201) * d_star
+        best = dof_sweep(FocusScenario(ArraySpec(wave6, num, d_star), z0), spacings).best_spacing
+        assert d_star <= best <= d_star * (1.0 + 0.15 * num * lam / z0) + (spacings[1] - spacings[0])

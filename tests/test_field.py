@@ -62,6 +62,8 @@ class TestGreens:
         wave = make_wave(0.05)
         r = np.array([0.05, 0.25, 1.0, 3.7])
         vec = greens(r, wave)
+        # a float64 array reaches the kernel as-is, so the kernel must not write into it
+        np.testing.assert_array_equal(r, [0.05, 0.25, 1.0, 3.7])
         for i, ri in enumerate(r):
             assert vec[i] == greens(float(ri), wave)
 

@@ -84,6 +84,10 @@ def test_array_spec_validation(wave6):
     for bad in (math.inf, -math.inf, math.nan, 10**400):
         with pytest.raises(ValueError, match="finite"):
             ArraySpec(wave=wave6, num_elements=4, spacing=bad)
+    # a pattern name is no pattern: it must fail here, not once a kernel is built
+    for bad in ("patch", None):
+        with pytest.raises(ValueError, match="unknown element pattern"):
+            ArraySpec(wave=wave6, num_elements=4, spacing=0.03, pattern=bad)
 
 
 def test_aperture_is_count_times_spacing(wave6):
@@ -124,6 +128,11 @@ def test_scenario_validation(wave6):
 def test_pattern_factor_is_one_at_broadside():
     for pattern in ElementPattern:
         assert pattern_factor(pattern, 0.0, 0.0, 1.0) == pytest.approx(1.0, abs=0.0)
+
+
+def test_pattern_factor_rejects_unknown_pattern():
+    with pytest.raises(ValueError, match="unknown element pattern 'patch'"):
+        pattern_factor("patch", 0.0, 0.0, 1.0)
 
 
 def test_cos_squared_rolloff_value():
